@@ -56,8 +56,9 @@ farm:
 # The at-scale harness: 24 mixed shards, 8 tenants, 10^4 requests
 # through the epoch-stepped coordinator.  Rewrites BENCH_farm_big.json:
 # quality rows at nominal load, the least-loaded/cost-aware overload
-# pair, and the -j1/-j4 front-end simulation rate with the speedup row
-# the gate holds to its machine-aware floor.
+# pair, the -j1/-j4 front-end simulation rate with the speedup row
+# the gate holds to its machine-aware floor, and the wall(2N)/wall(N)
+# scaling row it holds to a fixed 2.5 ceiling.
 farm-big:
 	dune build bench/main.exe
 	CGRA_DOMAINS=$$(nproc) dune exec bench/main.exe -- farm-big --json

@@ -437,8 +437,8 @@ let farm_samples = 3
 
 let farm_loads = [ 0.5; 1.0; 2.0; 4.0 ]
 
-let farm_run ~pool p =
-  match Cgra_farm.Farm.run ~pool p with
+let farm_run ?pool p =
+  match Cgra_farm.Farm.run ?pool p with
   | Ok r -> r
   | Error e ->
       failwith
@@ -503,13 +503,13 @@ let run_farm ~pool ~json () =
 (* ----- farm-big: the at-scale harness ----- *)
 
 (* Farm.big_params: 24 mixed shards, 8 tenants, 10^4 requests.  The
-   committed file carries three row families: quality at nominal load,
+   committed file carries four row families: quality at nominal load,
    the overload pair (load 2.0, reconfig cost 100) that pins the
    cost-aware dispatch win — least-loaded and cost-aware side by side,
-   so the p99 improvement is in the baseline itself, not a claim — and
-   the wall-clock simulation rate of the epoch coordinator at -j1 vs
-   -j4 with the speedup row Bench_gate holds to its machine-aware
-   floor. *)
+   so the p99 improvement is in the baseline itself, not a claim — the
+   wall-clock simulation rate of the epoch coordinator at -j1 vs -j4
+   with the speedup row Bench_gate holds to its machine-aware floor, and
+   the wall(2N)/wall(N) scaling row it holds to a fixed ceiling. *)
 
 let farm_big_quality_rows ~pool ~quiet () =
   let p = Cgra_farm.Farm.big_params in
@@ -541,6 +541,37 @@ let farm_big_quality_rows ~pool ~quiet () =
   base_rows
   @ overload Cgra_farm.Farm.Least_loaded
   @ overload Cgra_farm.Farm.Cost_aware
+
+(* How the front end's wall time grows with the request count:
+   wall(2N)/wall(N) at N = big_params' 10^4, sequential.  Each sample is
+   one N run and one 2N run back to back, with a full major GC before
+   each, so a drift in host speed hits both halves of a ratio; the row
+   is the median ratio, robust to a sample the host disturbed.  The
+   ratio cancels the host's speed, which is why Bench_gate holds it to
+   a fixed ceiling. *)
+let scaling_samples = 7
+
+let farm_big_scaling_row () =
+  let p = Cgra_farm.Farm.big_params in
+  let n = p.Cgra_farm.Farm.n_requests in
+  let wall p =
+    Gc.full_major ();
+    let t0 = Unix.gettimeofday () in
+    ignore (farm_run p);
+    Unix.gettimeofday () -. t0
+  in
+  let p2 = { p with Cgra_farm.Farm.n_requests = 2 * n } in
+  ignore (farm_run p2);
+  let ratios =
+    List.init scaling_samples (fun _ ->
+        let w1 = wall p in
+        wall p2 /. w1)
+    |> List.sort Float.compare
+  in
+  let mn = List.hd ratios and mx = List.nth ratios (scaling_samples - 1) in
+  { m_name = "farm-big scaling wall(2N)/wall(N)";
+    ns = List.nth ratios (scaling_samples / 2); runs = scaling_samples;
+    spread = (mx -. mn) /. mn *. 100.0; domains = 1 }
 
 (* Requests per wall-second through the coordinator, min-of-N (best
    rate), with the suite compile pre-warmed so the clock sees the
@@ -575,6 +606,7 @@ let farm_big_rate_rows ~quiet () =
         spread = s4; domains = w4 };
       { m_name = "farm-big sim-rate speedup -j4/-j1"; ns = r4 /. r1;
         runs = farm_samples; spread = 0.0; domains = w4 };
+      farm_big_scaling_row ();
     ]
   in
   if not quiet then begin
@@ -582,12 +614,15 @@ let farm_big_rate_rows ~quiet () =
     List.iter
       (fun r ->
         let value =
-          if Cgra_prof.Bench_gate.speedup r.m_name then
-            Printf.sprintf "%12.2fx" r.ns
+          if Cgra_prof.Bench_gate.speedup r.m_name
+             || Cgra_prof.Bench_gate.scaling r.m_name
+          then Printf.sprintf "%12.2fx" r.ns
           else Printf.sprintf "%7.0f req/s" r.ns
         in
-        Printf.printf "  %-36s %s  (best of %d, spread %.1f%%, %d domain%s)\n"
-          r.m_name value r.runs r.spread r.domains
+        Printf.printf "  %-36s %s  (%s of %d, spread %.1f%%, %d domain%s)\n"
+          r.m_name value
+          (if Cgra_prof.Bench_gate.scaling r.m_name then "median" else "best")
+          r.runs r.spread r.domains
           (if r.domains = 1 then "" else "s"))
       rows
   end;

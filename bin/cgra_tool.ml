@@ -1042,7 +1042,8 @@ let cmd_farm =
       & info [ "stats" ]
           ~doc:
             "Also print front-end statistics: per-shard active epoch counts, \
-             busy fractions, and the steal-free load imbalance.")
+             busy cycles, page-cycle utilization, and the steal-free load \
+             imbalance (max/mean page utilization).")
   in
   Cmd.v
     (Cmd.info "farm"

@@ -52,14 +52,16 @@ module T = Cgra_trace.Trace
 
 module Engine = struct
   type t = {
-    suite : Binary.t list;
     total_pages : int;
     mode : mode;
     reconfig_cost : float;
     trace : T.t;
     tracing : bool;
     alloc : Allocator.t;
-    threads : thread_rec Queue.t;  (* submission order — resync iterates it *)
+    kernels : (string, Binary.t * int) Hashtbl.t;  (* name -> binary, ops *)
+    threads : thread_rec Queue.t;  (* every submitted thread: [result] *)
+    mutable live : thread_rec array;  (* unfinished, submission order *)
+    mutable n_live : int;  (* = [unfinished]: finished threads leave [live] *)
     by_id : (int, thread_rec) Hashtbl.t;
     waiters : int Queue.t;
     running_kernel : (int, Binary.t) Hashtbl.t;
@@ -70,6 +72,8 @@ module Engine = struct
     mutable total_ops : float;
     mutable queue : (float, int * int) Cgra_util.Pqueue.t;
     mutable unfinished : int;
+    mutable resyncs : int;
+    mutable resync_visits : int;
     mutable horizon : float;  (* latest stepped-event or submit time *)
     mutable on_finish : int -> float -> unit;
     mutable on_grant : int -> float -> unit;
@@ -77,7 +81,8 @@ module Engine = struct
 
   let create ?(policy = Allocator.Halving) ?(reconfig_cost = 0.0)
       ?(trace = T.null) ?(n_threads = 0) ~suite ~total_pages ~mode () =
-    if reconfig_cost < 0.0 then invalid_arg "Os_sim.run: negative reconfig cost";
+    if not (reconfig_cost >= 0.0) then
+      invalid_arg "Os_sim.run: negative or NaN reconfig cost";
     let tracing = T.enabled trace in
     let alloc = Allocator.create ~policy ~trace ~total_pages () in
     if tracing then begin
@@ -107,15 +112,24 @@ module Engine = struct
              mem_ports;
            })
     end;
-    {
+    (* per-kernel facts, once: the first suite entry of a name wins *)
+    let kernels = Hashtbl.create 16 in
+    List.iter
+      (fun (b : Binary.t) ->
+        if not (Hashtbl.mem kernels b.name) then
+          Hashtbl.replace kernels b.name (b, ops_of b))
       suite;
+    {
       total_pages;
       mode;
       reconfig_cost;
       trace;
       tracing;
       alloc;
+      kernels;
       threads = Queue.create ();
+      live = [||];
+      n_live = 0;
       by_id = Hashtbl.create 16;
       waiters = Queue.create ();
       running_kernel = Hashtbl.create 16;
@@ -126,6 +140,8 @@ module Engine = struct
       total_ops = 0.0;
       queue = Cgra_util.Pqueue.empty ~cmp:Float.compare;
       unfinished = 0;
+      resyncs = 0;
+      resync_visits = 0;
       horizon = neg_infinity;
       on_finish = (fun _ _ -> ());
       on_grant = (fun _ _ -> ());
@@ -134,10 +150,28 @@ module Engine = struct
   let set_on_finish e f = e.on_finish <- f
   let set_on_grant e f = e.on_grant <- f
 
-  let binary e name =
-    match List.find_opt (fun (b : Binary.t) -> b.name = name) e.suite with
-    | Some b -> b
+  let kernel_facts e name =
+    match Hashtbl.find_opt e.kernels name with
+    | Some facts -> facts
     | None -> invalid_arg ("Os_sim.run: unknown kernel " ^ name)
+
+  let binary e name = fst (kernel_facts e name)
+
+  let add_live e t =
+    if e.n_live = Array.length e.live then begin
+      let grown = Array.make (max 8 (2 * e.n_live)) t in
+      Array.blit e.live 0 grown 0 e.n_live;
+      e.live <- grown
+    end;
+    e.live.(e.n_live) <- t;
+    e.n_live <- e.n_live + 1
+
+  (* stable, in place: the survivors keep their submission order *)
+  let remove_live e t =
+    let rec find i = if e.live.(i) == t then i else find (i + 1) in
+    let i = find 0 in
+    Array.blit e.live (i + 1) e.live i (e.n_live - i - 1);
+    e.n_live <- e.n_live - 1
 
   let post e time tid gen = e.queue <- Cgra_util.Pqueue.push e.queue time (tid, gen)
 
@@ -170,57 +204,62 @@ module Engine = struct
       (Binary.iteration_cycles (Hashtbl.find e.running_kernel tid) ~pages)
 
   (* Multi mode: after any allocator change, refresh every running
-     kernel whose allocation moved (a PageMaster shrink or expand). *)
+     kernel whose allocation moved (a PageMaster shrink or expand).  Only
+     unfinished threads can hold pages, so the walk is over [live], in
+     submission order. *)
   let resync e now =
-    Queue.iter
-      (fun t ->
-        match t.state with
-        | On_cgra k -> (
-            match Allocator.allocation e.alloc ~client:t.id with
-            | Some r when r.Allocator.len <> k.pages || r.Allocator.base <> k.base
-              ->
-                settle e now t;
-                let rate = rate_for e t.id r.Allocator.len in
-                if e.tracing then begin
-                  let before = { T.base = k.base; len = k.pages } in
-                  let after = { T.base = r.Allocator.base; len = r.Allocator.len } in
-                  let kind =
-                    if after.T.len < before.T.len then T.Shrink
-                    else if after.T.len > before.T.len then T.Expand
-                    else T.Move
-                  in
-                  T.count e.trace "os.reshapes" 1.0;
-                  T.emit_at e.trace ~time:now
-                    (T.Reshape
-                       {
-                         thread = t.id;
-                         kind;
-                         before;
-                         after;
-                         pages_rewritten = after.T.len;
-                         cost = e.reconfig_cost;
-                         rate;
-                       })
-                end;
-                k.pages <- r.Allocator.len;
-                k.base <- r.Allocator.base;
-                k.rate <- rate;
-                e.transformations <- e.transformations + 1;
-                (* the kernel makes no progress while being reshaped *)
-                k.last_update <- now +. e.reconfig_cost;
-                t.gen <- t.gen + 1;
-                post e
-                  (now +. e.reconfig_cost +. (Float.max 0.0 k.iters_left *. k.rate))
-                  t.id t.gen
-            | Some _ | None -> ())
-        | On_cpu _ | Waiting _ | Done _ -> ())
-      e.threads
+    e.resyncs <- e.resyncs + 1;
+    e.resync_visits <- e.resync_visits + e.n_live;
+    for i = 0 to e.n_live - 1 do
+      let t = e.live.(i) in
+      match t.state with
+      | On_cgra k -> (
+          match Allocator.allocation e.alloc ~client:t.id with
+          | Some r when r.Allocator.len <> k.pages || r.Allocator.base <> k.base
+            ->
+              settle e now t;
+              let rate = rate_for e t.id r.Allocator.len in
+              if e.tracing then begin
+                let before = { T.base = k.base; len = k.pages } in
+                let after = { T.base = r.Allocator.base; len = r.Allocator.len } in
+                let kind =
+                  if after.T.len < before.T.len then T.Shrink
+                  else if after.T.len > before.T.len then T.Expand
+                  else T.Move
+                in
+                T.count e.trace "os.reshapes" 1.0;
+                T.emit_at e.trace ~time:now
+                  (T.Reshape
+                     {
+                       thread = t.id;
+                       kind;
+                       before;
+                       after;
+                       pages_rewritten = after.T.len;
+                       cost = e.reconfig_cost;
+                       rate;
+                     })
+              end;
+              k.pages <- r.Allocator.len;
+              k.base <- r.Allocator.base;
+              k.rate <- rate;
+              e.transformations <- e.transformations + 1;
+              (* the kernel makes no progress while being reshaped *)
+              k.last_update <- now +. e.reconfig_cost;
+              t.gen <- t.gen + 1;
+              post e
+                (now +. e.reconfig_cost +. (Float.max 0.0 k.iters_left *. k.rate))
+                t.id t.gen
+          | Some _ | None -> ())
+      | On_cpu _ | Waiting _ | Done _ -> ()
+    done
 
   let rec advance e now t segments =
     match segments with
     | [] ->
         t.state <- Done now;
         e.unfinished <- e.unfinished - 1;
+        remove_live e t;
         if e.tracing then
           T.emit_at e.trace ~time:now (T.Thread_finish { thread = t.id });
         e.on_finish t.id now
@@ -229,7 +268,8 @@ module Engine = struct
         t.gen <- t.gen + 1;
         post e (now +. float_of_int c) t.id t.gen
     | Thread_model.Kernel { kernel; iterations } :: rest ->
-        let segment_ops = ops_of (binary e kernel) * iterations in
+        let b, ops = kernel_facts e kernel in
+        let segment_ops = ops * iterations in
         e.total_ops <- e.total_ops +. float_of_int segment_ops;
         if e.tracing then
           T.emit_at e.trace ~time:now
@@ -239,8 +279,8 @@ module Engine = struct
                  kernel;
                  iterations;
                  ops = segment_ops;
-                 mem = Cgra_dfg.Graph.mem_node_count (binary e kernel).graph;
-                 desired = Binary.pages_used (binary e kernel);
+                 mem = Cgra_dfg.Graph.mem_node_count b.graph;
+                 desired = Binary.pages_used b;
                });
         start_kernel e now t ~kernel ~iterations ~rest
 
@@ -387,6 +427,7 @@ module Engine = struct
     e.horizon <- at;
     let t = { id = spec.id; state = Done at; gen = 0 } in
     Queue.add t e.threads;
+    add_live e t;
     Hashtbl.replace e.by_id t.id t;
     e.unfinished <- e.unfinished + 1;
     if e.tracing then
@@ -427,6 +468,8 @@ module Engine = struct
   let rec drain e = if step e then drain e
 
   let in_flight e = e.unfinished
+  let resyncs e = e.resyncs
+  let resync_visits e = e.resync_visits
   let free_pages e = Allocator.free_pages e.alloc
   let used_page_fraction e =
     float_of_int (e.total_pages - Allocator.free_pages e.alloc)

@@ -93,6 +93,16 @@ module Engine : sig
   val in_flight : t -> int
   (** Submitted threads that have not yet finished. *)
 
+  val resyncs : t -> int
+  (** PageMaster resyncs run so far: one per allocator change in Multi
+      mode (a grant, or a release with its regrants and expansion). *)
+
+  val resync_visits : t -> int
+  (** Threads walked by those resyncs, summed.  Each resync walks only
+      the unfinished threads, so this grows with requests times live
+      threads, not with requests squared.  A deterministic work counter:
+      it is in no trace and no {!result_t}. *)
+
   val free_pages : t -> int
 
   val used_page_fraction : t -> float

@@ -124,10 +124,12 @@ let validate p =
   if p.fleet = [] then Error "farm: empty fleet"
   else if p.n_tenants < 1 then Error "farm: need at least one tenant"
   else if p.n_requests < 0 then Error "farm: negative request count"
-  else if p.offered_load <= 0.0 then Error "farm: offered load must be positive"
+  else if not (p.offered_load > 0.0 && Float.is_finite p.offered_load) then
+    Error "farm: offered load must be a positive finite number"
   else if p.queue_bound < 1 then Error "farm: queue bound must be >= 1"
   else if p.max_resident < 1 then Error "farm: max resident must be >= 1"
-  else if p.reconfig_cost < 0.0 then Error "farm: negative reconfig cost"
+  else if not (p.reconfig_cost >= 0.0 && Float.is_finite p.reconfig_cost) then
+    Error "farm: reconfig cost must be a non-negative finite number"
   else if not (p.epoch > 0.0 && Float.is_finite p.epoch) then
     Error "farm: epoch must be a positive number of cycles"
   else Ok ()
@@ -193,12 +195,17 @@ let run ?pool ?(traced = false) p =
     List.fold_left (fun acc s -> acc +. (1.0 /. shard_service_cycles s.suite))
       0.0 shards
   in
-  let rate = p.offered_load *. capacity in
+  let mean_gap = 1.0 /. (p.offered_load *. capacity) in
+  let* () =
+    (* a finite load can still underflow the rate on this fleet *)
+    if mean_gap > 0.0 && Float.is_finite mean_gap then Ok ()
+    else Error "farm: offered load out of range for this fleet"
+  in
   let requests =
     let rec gen i t acc =
       if i = p.n_requests then Array.of_list (List.rev acc)
       else begin
-        let t = t +. Cgra_util.Rng.exponential rng ~mean:(1.0 /. rate) in
+        let t = t +. Cgra_util.Rng.exponential rng ~mean:mean_gap in
         let tenant = Cgra_util.Rng.int rng p.n_tenants in
         let kernel = mix.(Cgra_util.Rng.int rng (Array.length mix)) in
         let iterations =
@@ -263,19 +270,23 @@ let run ?pool ?(traced = false) p =
   let drain_cbs s = Queue.iter (process_cb s.index) s.cbs; Queue.clear s.cbs in
   (* load-aware shard candidates: fewest in-flight requests, then least
      allocated fabric, then lowest index — all deterministic signals,
-     all read at a sync boundary where every shard is settled *)
+     all read at a sync boundary where every shard is settled, once per
+     shard per ranking *)
   let candidates () =
-    List.filter
-      (fun s -> Os_sim.Engine.in_flight s.engine < p.max_resident)
+    List.filter_map
+      (fun s ->
+        let in_flight = Os_sim.Engine.in_flight s.engine in
+        if in_flight < p.max_resident then
+          Some (in_flight, Os_sim.Engine.used_page_fraction s.engine, s)
+        else None)
       shards
-    |> List.sort (fun a b ->
-           compare
-             ( Os_sim.Engine.in_flight a.engine,
-               Os_sim.Engine.used_page_fraction a.engine,
-               a.index )
-             ( Os_sim.Engine.in_flight b.engine,
-               Os_sim.Engine.used_page_fraction b.engine,
-               b.index ))
+    |> List.sort (fun (fa, ua, a) (fb, ub, b) ->
+           let c = Int.compare fa fb in
+           if c <> 0 then c
+           else
+             let c = Float.compare ua ub in
+             if c <> 0 then c else Int.compare a.index b.index)
+    |> List.map (fun (_, _, s) -> s)
   in
   (* Cost-aware deferral: dispatching a request whose binary does not fit
      in the shard's free pages forces the allocator to shrink residents —
@@ -325,11 +336,14 @@ let run ?pool ?(traced = false) p =
      deferred by the cost model is skipped, not popped, so per-tenant
      FIFO order is preserved *)
   let rec try_dispatch now =
+    (* no engine moves until a dispatch ends the scan, so one ranking
+       serves every tenant the scan visits *)
+    let ranked = lazy (candidates ()) in
     let rec scan tid =
       if tid >= p.n_tenants then false
       else if Queue.is_empty queues.(tid) then scan (tid + 1)
       else
-        match candidates () with
+        match Lazy.force ranked with
         | [] -> false (* capacity is fleet-wide: nobody can dispatch *)
         | cands -> (
             let r = Queue.peek queues.(tid) in
@@ -541,30 +555,32 @@ let render ?(log = false) (r : report) =
   Buffer.contents b
 
 (* The front-end observability report: where coordinator epochs landed,
-   how busy each shard was, and how uneven the (steal-free) load ended
-   up — dispatch is final, work never migrates, so max/mean busy is the
-   true imbalance, not a sampling artifact. *)
+   how much of each shard's fabric was in use, and how uneven the
+   (steal-free) load ended up — dispatch is final, work never migrates,
+   so max/mean page utilization is the true imbalance, not a sampling
+   artifact.  Busy cycles sum request residences, which overlap on a
+   shard, so they are reported as cycles and never as a fraction. *)
 let render_stats (r : report) =
   let b = Buffer.create 1024 in
   let pf fmt = Printf.ksprintf (Buffer.add_string b) fmt in
   pf "epochs: %d boundaries (epoch %.0f cycles, makespan %.0f)\n" r.epochs
     r.params.epoch r.makespan;
-  let busy = List.map (fun s -> s.s_busy_cycles) r.shard_reports in
-  let total_busy = List.fold_left ( +. ) 0.0 busy in
-  let mean_busy = total_busy /. float_of_int (List.length busy) in
-  let max_busy = List.fold_left Float.max 0.0 busy in
+  let util s = s.s_os.Os_sim.page_utilization in
+  let utils = List.map util r.shard_reports in
+  let mean_util =
+    List.fold_left ( +. ) 0.0 utils /. float_of_int (List.length utils)
+  in
+  let max_util = List.fold_left Float.max 0.0 utils in
   List.iter
     (fun s ->
       pf
         "  shard %-2d (%dx%d): active epochs %-5d (%.3f of %d)  busy %8.0f \
-         cycles  busy frac %.3f  served %d\n"
+         cycles  page util %.3f  served %d\n"
         s.s_index s.s_spec.size s.s_spec.size s.s_epochs
         (if r.epochs > 0 then float_of_int s.s_epochs /. float_of_int r.epochs
          else 0.0)
-        r.epochs s.s_busy_cycles
-        (if r.makespan > 0.0 then s.s_busy_cycles /. r.makespan else 0.0)
-        s.s_served)
+        r.epochs s.s_busy_cycles (util s) s.s_served)
     r.shard_reports;
-  pf "  load imbalance (max/mean busy, steal-free): %.3f\n"
-    (if mean_busy > 0.0 then max_busy /. mean_busy else 1.0);
+  pf "  load imbalance (max/mean page util, steal-free): %.3f\n"
+    (if mean_util > 0.0 then max_util /. mean_util else 1.0);
   Buffer.contents b

@@ -163,7 +163,13 @@ val run :
     the per-epoch shard settle phase; both are bit-deterministic at any
     width.  [traced] (default false) collects the front end's [farm_*]
     stream and one OS stream per shard; tracing never changes the
-    simulation.  Errors are validation or compile failures. *)
+    simulation.  Errors are validation or compile failures; validation
+    rejects non-finite or out-of-range [offered_load], [reconfig_cost]
+    and [epoch].
+
+    One run costs time linear in the requests times the threads live on
+    a shard: each shard engine's PageMaster resync walks only unfinished
+    threads, and each dispatch scan ranks the shards once. *)
 
 val dispatch_name : dispatch -> string
 (** ["least-loaded"] / ["cost-aware"] — the rendering and CLI spelling. *)
@@ -174,6 +180,8 @@ val render : ?log:bool -> report -> string
 
 val render_stats : report -> string
 (** Front-end observability ([cgra_tool farm --stats]): per-shard active
-    epoch counts, busy fractions, and the steal-free load imbalance
-    (max/mean busy cycles — dispatch is final and work never migrates,
-    so the ratio is the true imbalance). *)
+    epoch counts (and their fraction of all epochs), busy cycles, page-cycle
+    utilization ([s_os.page_utilization], the same figure {!render} prints
+    as [util]), and the steal-free load imbalance (max/mean page
+    utilization — dispatch is final and work never migrates, so the ratio
+    is the true imbalance).  Every printed fraction lies in [[0, 1]]. *)

@@ -73,10 +73,18 @@ let sim_rate name = contains "sim-rate" name
 
 let speedup name = sim_rate name && contains "speedup" name
 
+(* The farm scaling row is a wall-clock ratio, wall(2N)/wall(N) on one
+   host: the host's speed cancels out, so it gates on a fixed ceiling
+   (linear work gives ~2, quadratic ~4) and not against its baseline. *)
+let scaling name = has_prefix "farm" name && contains "scaling" name
+
+let scaling_bound = 2.5
+
 (* All other farm rows are virtual-clock simulation outputs:
    deterministic down to float formatting, so the budget is a flat
    epsilon either way. *)
-let deterministic name = has_prefix "farm" name && not (sim_rate name)
+let deterministic name =
+  has_prefix "farm" name && not (sim_rate name || scaling name)
 
 (* Fig. 8 geomean rows are deterministic quality scores (percent,
    higher is better), not wall measurements; farm throughput rows
@@ -101,7 +109,8 @@ let speedup_floor ~domains = if domains >= 4 then 2.0 else 0.85
    measurement, so the budgets are about catching algorithmic
    regressions (2x-10x), not scheduling noise. *)
 let tolerance name =
-  if sim_rate name then 2.0
+  if scaling name then scaling_bound
+  else if sim_rate name then 2.0
   else if higher_is_better name || deterministic name then 1.0
   else if has_prefix "compile-sobel-warm" name || has_prefix "compile-suite-warm" name
   then 4.0 (* microsecond-scale disk reads: highest relative jitter *)
@@ -128,6 +137,9 @@ let check ~baseline ~current =
             let floor = speedup_floor ~domains:c.domains in
             { o_name = b.name; baseline = b.value; current = Some c.value;
               tol = floor; ok = c.value >= floor }
+          else if scaling b.name then
+            { o_name = b.name; baseline = b.value; current = Some c.value; tol;
+              ok = c.value <= tol }
           else
             let ok =
               if sim_rate b.name then c.value >= b.value /. tol
@@ -148,6 +160,7 @@ let render ~unit_ outcomes =
   let fmt v = Table.fmt_float ~decimals:1 v in
   let tol_label o =
     if speedup o.o_name then Printf.sprintf ">=%.2fx" o.tol
+    else if scaling o.o_name then Printf.sprintf "<=%.2fx" o.tol
     else if sim_rate o.o_name then Printf.sprintf ">=base/%.1f" o.tol
     else if higher_is_better o.o_name then ">=base"
     else if deterministic o.o_name then "<=base"

@@ -26,14 +26,16 @@ val tolerance : string -> float
     microsecond-scale disk reads and jitter hardest (4.0x); wall-clock
     sweep and fold rows get the 2.0x default; {!sim_rate} rows gate the
     same 2.0x ratio in the upward direction
-    ([current >= baseline / tolerance]).  A factor, not a margin.
+    ([current >= baseline / tolerance]); {!scaling} rows report their
+    fixed {!scaling_bound}.  A factor, not a margin.
     Meaningless (1.0) for {!higher_is_better} and {!deterministic}
     rows, which gate on a flat epsilon instead. *)
 
 val deterministic : string -> bool
 (** Rows named with the "farm" prefix are virtual-clock simulation
     outputs, reproducible down to float formatting — except the
-    {!sim_rate} rows, which are wall measurements.  Deterministic rows
+    {!sim_rate} and {!scaling} rows, which are wall measurements.
+    Deterministic rows
     gate on a flat 0.001 epsilon (covering the %.3f quantization of the
     written value) in whichever direction {!higher_is_better} says,
     never on a jitter factor. *)
@@ -49,6 +51,16 @@ val speedup : string -> bool
     against {!speedup_floor} of its own recorded pool width — an
     absolute floor on the fresh measurement, not a baseline
     comparison. *)
+
+val scaling : string -> bool
+(** Farm rows containing "scaling" are a wall-clock growth ratio,
+    wall(2N)/wall(N) for N and 2N requests on one host.  They gate
+    against the fixed {!scaling_bound} ([current <= bound]), not against
+    their baseline: the ratio cancels the host's speed, linear work reads
+    about 2 and quadratic work about 4. *)
+
+val scaling_bound : float
+(** 2.5: the ceiling {!scaling} rows are held to. *)
 
 val speedup_floor : domains:int -> float
 (** The parallel coordinator's scaling contract, machine-aware: a pool

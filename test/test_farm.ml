@@ -205,6 +205,77 @@ let test_served_counts_conserve () =
   in
   Alcotest.(check int) "shard served sums to retired" r.Farm.retired served
 
+(* ---------- total parameters ---------- *)
+
+(* Non-finite loads used to reach [Rng.exponential]'s assertion, and a
+   NaN reconfig cost passed the [< 0.0] check and then spun forever:
+   every such parameter set must come back as a [farm:] error. *)
+let test_rejects_non_finite_params () =
+  let bad =
+    [
+      ("load inf", { small_params with offered_load = Float.infinity });
+      ("load -inf", { small_params with offered_load = Float.neg_infinity });
+      ("load nan", { small_params with offered_load = Float.nan });
+      ("load 0", { small_params with offered_load = 0.0 });
+      ("load denormal", { small_params with offered_load = 1e-320 });
+      ("reconfig cost nan", { small_params with reconfig_cost = Float.nan });
+      ("reconfig cost inf", { small_params with reconfig_cost = Float.infinity });
+      ("reconfig cost -1", { small_params with reconfig_cost = -1.0 });
+      ("epoch nan", { small_params with epoch = Float.nan });
+    ]
+  in
+  List.iter
+    (fun (what, p) ->
+      match Farm.run p with
+      | Ok _ -> Alcotest.failf "%s: accepted" what
+      | Error e ->
+          Alcotest.(check bool)
+            (Printf.sprintf "%s: farm error (%s)" what e)
+            true
+            (String.length e > 5 && String.sub e 0 5 = "farm:"))
+    bad
+
+(* ---------- --stats ---------- *)
+
+(* Every fraction [render_stats] prints — each shard's share of active
+   epochs and its page-cycle utilization — lies in [0, 1], over the
+   fuzz cases and an overloaded default fleet (where mean concurrency,
+   once printed as a "busy frac", exceeds 1). *)
+let test_stats_fractions_in_range () =
+  let check_report what r =
+    let text = Farm.render_stats r in
+    let shard_lines =
+      List.filter
+        (fun l -> String.length l > 8 && String.sub l 0 8 = "  shard ")
+        (String.split_on_char '\n' text)
+    in
+    Alcotest.(check int)
+      (what ^ ": one line per shard")
+      (List.length r.Farm.shard_reports)
+      (List.length shard_lines);
+    List.iter
+      (fun line ->
+        Scanf.sscanf line
+          " shard %d (%dx%d): active epochs %d (%f of %d) busy %f cycles page \
+           util %f served %d"
+          (fun _ _ _ _ active_frac _ _ util _ ->
+            List.iter
+              (fun (name, v) ->
+                if not (v >= 0.0 && v <= 1.0) then
+                  Alcotest.failf "%s: %s %g outside [0, 1] in %S" what name v
+                    line)
+              [ ("active-epoch fraction", active_frac); ("page util", util) ]))
+      shard_lines
+  in
+  List.iter
+    (fun seed ->
+      check_report
+        (Printf.sprintf "fuzz seed %d" seed)
+        (run_ok (Farm_fuzz.params_of_seed seed)))
+    (List.init 10 Fun.id);
+  check_report "default at load 4"
+    (run_ok { Farm.default_params with offered_load = 4.0 })
+
 let () =
   Alcotest.run "farm"
     [
@@ -225,6 +296,16 @@ let () =
         ] );
       ( "golden",
         [ Alcotest.test_case "pinned farm_* stream" `Quick test_golden_stream ] );
+      ( "params",
+        [
+          Alcotest.test_case "non-finite params rejected" `Quick
+            test_rejects_non_finite_params;
+        ] );
+      ( "stats",
+        [
+          Alcotest.test_case "printed fractions in [0, 1]" `Quick
+            test_stats_fractions_in_range;
+        ] );
       ( "cost-aware",
         [
           Alcotest.test_case "improves overload tail, holds throughput" `Quick

@@ -492,6 +492,37 @@ let test_gate_farm_deterministic () =
   Alcotest.(check bool) "render shows the downward budget" true
     (contains ~sub:"<=base" rendered)
 
+let test_gate_farm_scaling () =
+  (* the wall(2N)/wall(N) row is a measurement, held to a fixed ceiling
+     whatever its baseline: ~2 is linear work, ~4 quadratic *)
+  let name = "farm-big scaling wall(2N)/wall(N)" in
+  Alcotest.(check bool) "scaling row" true (Bench_gate.scaling name);
+  Alcotest.(check bool) "not a deterministic row" false
+    (Bench_gate.deterministic name);
+  Alcotest.(check bool) "sim-rate rows are not scaling rows" false
+    (Bench_gate.scaling "farm-big sim-rate -j1");
+  let doc v =
+    doc_of_string
+      (Printf.sprintf
+         {|{ "bench": "farm-big", "domains": 1, "unit": "mixed", "results": [
+             { "name": %S, "value": %f } ] }|}
+         name v)
+  in
+  let failures ~baseline v =
+    Bench_gate.failures
+      (Bench_gate.check ~baseline:(doc baseline) ~current:(doc v))
+  in
+  Alcotest.(check int) "self passes" 0 (failures ~baseline:1.7 1.7);
+  Alcotest.(check int) "worse than baseline, under the bound, passes" 0
+    (failures ~baseline:1.7 2.4);
+  Alcotest.(check int) "above the bound fails" 1 (failures ~baseline:1.7 2.6);
+  Alcotest.(check int) "a lax baseline does not loosen the bound" 1
+    (failures ~baseline:4.0 3.9);
+  Alcotest.(check bool) "render shows the ceiling" true
+    (contains ~sub:"<=2.50x"
+       (Bench_gate.render ~unit_:"mixed"
+          (Bench_gate.check ~baseline:(doc 1.7) ~current:(doc 2.6))))
+
 let test_gate_parses_old_format () =
   (* rows written before min-of-N: no runs/spread/per-row domains *)
   let d =
@@ -557,6 +588,8 @@ let () =
             test_gate_fig8_higher_is_better;
           Alcotest.test_case "farm rows gate deterministically" `Quick
             test_gate_farm_deterministic;
+          Alcotest.test_case "farm scaling ceiling" `Quick
+            test_gate_farm_scaling;
           Alcotest.test_case "old baseline format" `Quick
             test_gate_parses_old_format;
         ] );

@@ -663,6 +663,85 @@ let test_engine_run_until_inclusive () =
       Os_sim.Engine.drain e;
       Alcotest.(check int) "thread finished" 0 (Os_sim.Engine.in_flight e)
 
+let test_engine_rejects_nan_cost () =
+  (* NaN passes a [< 0.0] check and then never settles a reshape *)
+  List.iter
+    (fun cost ->
+      match
+        Os_sim.Engine.create ~reconfig_cost:cost
+          ~suite:(Lazy.force suite_4x4_p4) ~total_pages:4 ~mode:Os_sim.Multi ()
+      with
+      | _ -> Alcotest.failf "reconfig cost %g accepted" cost
+      | exception Invalid_argument _ -> ())
+    [ Float.nan; -1.0 ]
+
+(* ---------- Engine work: resync walks live threads only ---------- *)
+
+(* One farm-shaped shard: seeded Poisson arrivals of the farm's request
+   mix at about half the fabric's nominal capacity, each submitted at
+   its arrival time, with every step and submit watched.  Returns the
+   total resync visits and how many calls walked more threads than
+   [resyncs x unfinished] — a resync that revisits finished threads. *)
+let open_shard_work n =
+  let suite = Lazy.force suite_4x4_p4 in
+  let e =
+    Os_sim.Engine.create ~policy:Allocator.Cost_halving ~suite ~total_pages:4
+      ~mode:Os_sim.Multi ()
+  in
+  let mix = [| "mpeg"; "yuv2rgb"; "sobel" |] in
+  let service name =
+    let b = List.find (fun (b : Binary.t) -> b.name = name) suite in
+    float_of_int (Binary.iteration_cycles b ~pages:(Binary.pages_used b)) *. 80.0
+  in
+  let mean_gap =
+    2.0 *. Array.fold_left (fun acc k -> acc +. service k) 0.0 mix
+    /. float_of_int (Array.length mix)
+  in
+  let rng = Cgra_util.Rng.create ~seed:11 in
+  let overvisits = ref 0 in
+  let watched ~unfinished f =
+    let v0 = Os_sim.Engine.resync_visits e and r0 = Os_sim.Engine.resyncs e in
+    f ();
+    let visits = Os_sim.Engine.resync_visits e - v0 in
+    if visits > (Os_sim.Engine.resyncs e - r0) * unfinished then incr overvisits
+  in
+  let step () =
+    watched ~unfinished:(Os_sim.Engine.in_flight e) (fun () ->
+        ignore (Os_sim.Engine.step e))
+  in
+  let at = ref 0.0 in
+  for id = 0 to n - 1 do
+    at := !at +. Cgra_util.Rng.exponential rng ~mean:mean_gap;
+    let kernel = mix.(Cgra_util.Rng.int rng (Array.length mix)) in
+    let iterations = Cgra_util.Rng.int_in rng 40 120 in
+    while
+      match Os_sim.Engine.next_event e with Some te -> te <= !at | None -> false
+    do
+      step ()
+    done;
+    watched ~unfinished:(Os_sim.Engine.in_flight e + 1) (fun () ->
+        Os_sim.Engine.submit e ~at:!at
+          { Thread_model.id; segments = [ Thread_model.Kernel { kernel; iterations } ] })
+  done;
+  while Os_sim.Engine.next_event e <> None do
+    step ()
+  done;
+  Alcotest.(check int) "every thread finished" n
+    (List.length (Os_sim.Engine.result e).Os_sim.finishes);
+  (Os_sim.Engine.resync_visits e, !overvisits)
+
+let test_engine_resync_work_linear () =
+  let n = 300 in
+  let v1, over1 = open_shard_work n in
+  let v2, over2 = open_shard_work (2 * n) in
+  Alcotest.(check int) "no resync walks a finished thread (N)" 0 over1;
+  Alcotest.(check int) "no resync walks a finished thread (2N)" 0 over2;
+  Alcotest.(check bool) "resyncs ran" true (v1 > 0);
+  Alcotest.(check bool)
+    (Printf.sprintf "visits at 2N (%d) <= 2.5 x visits at N (%d)" v2 v1)
+    true
+    (float_of_int v2 <= 2.5 *. float_of_int v1)
+
 let () =
   Alcotest.run "runtime"
     [
@@ -727,6 +806,10 @@ let () =
           Alcotest.test_case "drain on empty engine" `Quick test_engine_drain_empty;
           Alcotest.test_case "run_until inclusive at event time" `Quick
             test_engine_run_until_inclusive;
+          Alcotest.test_case "rejects NaN reconfig cost" `Quick
+            test_engine_rejects_nan_cost;
+          Alcotest.test_case "resync work linear in requests" `Quick
+            test_engine_resync_work_linear;
         ] );
       ( "metrics",
         [
