@@ -35,7 +35,7 @@ bench-json:
 	CGRA_DOMAINS=$$(nproc) dune exec bench/main.exe -- fig9 --json
 	CGRA_DOMAINS=$$(nproc) dune exec bench/main.exe -- fig8 --json
 	CGRA_DOMAINS=$$(nproc) dune exec bench/main.exe -- farm --json
-	CGRA_DOMAINS=$$(nproc) dune exec bench/main.exe -- farm-big --json
+	dune exec bench/main.exe -- farm-big --json
 
 # One-shot Fig. 8 regeneration: print every (fabric, page size) table
 # and rewrite the gated BENCH_fig8.json quality rows (the per-fabric
@@ -56,12 +56,12 @@ farm:
 # The at-scale harness: 24 mixed shards, 8 tenants, 10^4 requests
 # through the epoch-stepped coordinator.  Rewrites BENCH_farm_big.json:
 # quality rows at nominal load, the least-loaded/cost-aware overload
-# pair, the -j1/-j4 front-end simulation rate with the speedup row
-# the gate holds to its machine-aware floor, and the wall(2N)/wall(N)
-# scaling row it holds to a fixed 2.5 ceiling.
+# pair, the sequential front-end simulation rate, and the
+# wall(2N)/wall(N) scaling row the gate holds to a fixed 2.5 ceiling.
+# The coordinator is sequential, so the run takes no pool width.
 farm-big:
 	dune build bench/main.exe
-	CGRA_DOMAINS=$$(nproc) dune exec bench/main.exe -- farm-big --json
+	dune exec bench/main.exe -- farm-big --json
 	dune exec bench/main.exe -- gate --check --farm-big
 
 # Re-measure every bench family and compare each row against the

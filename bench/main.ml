@@ -507,9 +507,8 @@ let run_farm ~pool ~json () =
    the overload pair (load 2.0, reconfig cost 100) that pins the
    cost-aware dispatch win — least-loaded and cost-aware side by side,
    so the p99 improvement is in the baseline itself, not a claim — the
-   wall-clock simulation rate of the epoch coordinator at -j1 vs -j4
-   with the speedup row Bench_gate holds to its machine-aware floor, and
-   the wall(2N)/wall(N) scaling row it holds to a fixed ceiling. *)
+   wall-clock simulation rate of the epoch coordinator, and the
+   wall(2N)/wall(N) scaling row Bench_gate holds to a fixed ceiling. *)
 
 let farm_big_quality_rows ~pool ~quiet () =
   let p = Cgra_farm.Farm.big_params in
@@ -575,37 +574,24 @@ let farm_big_scaling_row () =
 
 (* Requests per wall-second through the coordinator, min-of-N (best
    rate), with the suite compile pre-warmed so the clock sees the
-   discrete-event front end and not the mapper.  Each width gets its own
-   pool; the row records the pool's effective width, which is what the
-   gate's speedup floor keys on. *)
+   discrete-event front end and not the mapper. *)
 let farm_big_rate_rows ~quiet () =
   let p = Cgra_farm.Farm.big_params in
-  let rate j =
-    Cgra_util.Pool.with_pool ~domains:j (fun pool ->
-        let w = Cgra_util.Pool.width pool in
-        ignore (farm_run ~pool p);
-        let samples =
-          List.init farm_samples (fun _ ->
-              let t0 = Unix.gettimeofday () in
-              ignore (farm_run ~pool p);
-              float_of_int p.Cgra_farm.Farm.n_requests
-              /. (Unix.gettimeofday () -. t0))
-        in
-        let mn = List.fold_left Float.min infinity samples in
-        let mx = List.fold_left Float.max neg_infinity samples in
-        let spread = if mn > 0.0 then (mx -. mn) /. mn *. 100.0 else 0.0 in
-        (w, mx, spread))
+  ignore (farm_run p);
+  let samples =
+    List.init farm_samples (fun _ ->
+        let t0 = Unix.gettimeofday () in
+        ignore (farm_run p);
+        float_of_int p.Cgra_farm.Farm.n_requests
+        /. (Unix.gettimeofday () -. t0))
   in
-  let w1, r1, s1 = rate 1 in
-  let w4, r4, s4 = rate 4 in
+  let mn = List.fold_left Float.min infinity samples in
+  let mx = List.fold_left Float.max neg_infinity samples in
+  let spread = if mn > 0.0 then (mx -. mn) /. mn *. 100.0 else 0.0 in
   let rows =
     [
-      { m_name = "farm-big sim-rate -j1"; ns = r1; runs = farm_samples;
-        spread = s1; domains = w1 };
-      { m_name = "farm-big sim-rate -j4"; ns = r4; runs = farm_samples;
-        spread = s4; domains = w4 };
-      { m_name = "farm-big sim-rate speedup -j4/-j1"; ns = r4 /. r1;
-        runs = farm_samples; spread = 0.0; domains = w4 };
+      { m_name = "farm-big sim-rate -j1"; ns = mx; runs = farm_samples;
+        spread; domains = 1 };
       farm_big_scaling_row ();
     ]
   in
@@ -614,9 +600,8 @@ let farm_big_rate_rows ~quiet () =
     List.iter
       (fun r ->
         let value =
-          if Cgra_prof.Bench_gate.speedup r.m_name
-             || Cgra_prof.Bench_gate.scaling r.m_name
-          then Printf.sprintf "%12.2fx" r.ns
+          if Cgra_prof.Bench_gate.scaling r.m_name then
+            Printf.sprintf "%12.2fx" r.ns
           else Printf.sprintf "%7.0f req/s" r.ns
         in
         Printf.printf "  %-36s %s  (%s of %d, spread %.1f%%, %d domain%s)\n"

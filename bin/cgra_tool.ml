@@ -334,27 +334,39 @@ let reconfig_cost_arg =
     & info [ "reconfig-cost" ] ~docv:"CYCLES"
         ~doc:"Cycles of stalled progress charged per PageMaster reshape.")
 
+(* One traced OS run on a generated workload: the live path of both
+   trace and profile.  Every knob is checked here, so a bad one ends in
+   an [error:] line, never an exception or a run that spins forever. *)
+let traced_os_run ~size ~page_pes ~seed ~mode ~threads ~need ~policy
+    ~reconfig_cost ~domains =
+  let arch = or_die (arch_of ~size ~page_pes) in
+  if threads < 1 then or_die (Error "--threads must be positive");
+  if not (need > 0.0 && need < 1.0) then
+    or_die (Error "--need must be in (0, 1)");
+  if not (reconfig_cost >= 0.0 && Float.is_finite reconfig_cost) then
+    or_die (Error "--reconfig-cost must be a non-negative finite number");
+  let suite =
+    Cgra_util.Pool.with_pool ?domains (fun pool ->
+        or_die (Binary.compile_suite ~seed ~pool arch))
+  in
+  let total_pages = Cgra.n_pages arch in
+  let workload =
+    Workload.generate ~seed ~n_threads:threads ~cgra_need:need ~suite ()
+  in
+  let trace = Cgra_trace.Trace.make () in
+  let r =
+    Os_sim.run ~policy ~reconfig_cost ~trace
+      { Os_sim.suite; threads = workload; total_pages; mode }
+  in
+  (r, total_pages, Cgra_trace.Trace.events trace)
+
 let cmd_trace =
   let run size page_pes seed mode threads need policy reconfig_cost out format
       domains =
-    let arch = or_die (arch_of ~size ~page_pes) in
-    if threads < 1 then or_die (Error "--threads must be positive");
-    if need <= 0.0 || need >= 1.0 then or_die (Error "--need must be in (0, 1)");
-    if reconfig_cost < 0.0 then or_die (Error "--reconfig-cost must be >= 0");
-    let suite =
-      Cgra_util.Pool.with_pool ?domains (fun pool ->
-          or_die (Binary.compile_suite ~seed ~pool arch))
+    let r, total_pages, events =
+      traced_os_run ~size ~page_pes ~seed ~mode ~threads ~need ~policy
+        ~reconfig_cost ~domains
     in
-    let total_pages = Cgra.n_pages arch in
-    let workload =
-      Workload.generate ~seed ~n_threads:threads ~cgra_need:need ~suite ()
-    in
-    let trace = Cgra_trace.Trace.make () in
-    let r =
-      Os_sim.run ~policy ~reconfig_cost ~trace
-        { Os_sim.suite; threads = workload; total_pages; mode }
-    in
-    let events = Cgra_trace.Trace.events trace in
     Printf.printf
       "%s mode on %dx%d (%d pages), %d threads, need %.3f, seed %d:\n\
       \  makespan %.0f cycles, ipc %.2f, page utilization %.2f, %d \
@@ -444,25 +456,11 @@ let cmd_profile =
           or_die (Cgra_trace.Export.of_jsonl data)
       | None ->
           (* live: one traced OS run, same knobs as the trace command *)
-          let arch = or_die (arch_of ~size ~page_pes) in
-          if threads < 1 then or_die (Error "--threads must be positive");
-          if need <= 0.0 || need >= 1.0 then
-            or_die (Error "--need must be in (0, 1)");
-          if reconfig_cost < 0.0 then
-            or_die (Error "--reconfig-cost must be >= 0");
-          let suite =
-            Cgra_util.Pool.with_pool ?domains (fun pool ->
-                or_die (Binary.compile_suite ~seed ~pool arch))
+          let _, _, events =
+            traced_os_run ~size ~page_pes ~seed ~mode ~threads ~need ~policy
+              ~reconfig_cost ~domains
           in
-          let total_pages = Cgra.n_pages arch in
-          let workload =
-            Workload.generate ~seed ~n_threads:threads ~cgra_need:need ~suite ()
-          in
-          let trace = Cgra_trace.Trace.make () in
-          ignore
-            (Os_sim.run ~policy ~reconfig_cost ~trace
-               { Os_sim.suite; threads = workload; total_pages; mode });
-          Cgra_trace.Trace.events trace
+          events
     in
     let report = or_die (Cgra_prof.Analyze.profile events) in
     let doc =
@@ -1032,9 +1030,10 @@ let cmd_farm =
       & opt float Cgra_farm.Farm.default_params.Cgra_farm.Farm.epoch
       & info [ "epoch" ] ~docv:"CYCLES"
           ~doc:
-            "Sync-epoch length of the parallel coordinator, in virtual \
-             cycles.  Part of the simulated semantics (dispatch is \
-             quantized to epoch boundaries), not just a tuning knob.")
+            "Sync-epoch length of the coordinator, in virtual cycles: \
+             how often queued requests are dispatched.  Part of the \
+             simulated semantics (dispatch is quantized to epoch \
+             boundaries), not just a tuning knob.")
   in
   let stats =
     Arg.(

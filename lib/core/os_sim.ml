@@ -81,8 +81,8 @@ module Engine = struct
 
   let create ?(policy = Allocator.Halving) ?(reconfig_cost = 0.0)
       ?(trace = T.null) ?(n_threads = 0) ~suite ~total_pages ~mode () =
-    if not (reconfig_cost >= 0.0) then
-      invalid_arg "Os_sim.run: negative or NaN reconfig cost";
+    if not (reconfig_cost >= 0.0 && Float.is_finite reconfig_cost) then
+      invalid_arg "Os_sim.run: reconfig cost must be non-negative and finite";
     let tracing = T.enabled trace in
     let alloc = Allocator.create ~policy ~trace ~total_pages () in
     if tracing then begin
@@ -452,7 +452,11 @@ module Engine = struct
           | On_cpu segs -> advance e now t segs
           | On_cgra k ->
               settle e now t;
-              if k.iters_left <= 1e-6 then finish_kernel e now t k.rest
+              (* a remainder too small to advance a coarse clock (late in
+                 a long run) has finished: rescheduling it would post the
+                 same event at [now] forever *)
+              if k.iters_left <= 1e-6 || now +. (k.iters_left *. k.rate) = now
+              then finish_kernel e now t k.rest
               else reschedule e now t
           | Waiting _ | Done _ -> ()
         end;

@@ -65,7 +65,8 @@ module Engine : sig
     unit ->
     t
   (** [n_threads] (default 0) only stamps the [Run_begin] trace header —
-      an open system does not know its population up front. *)
+      an open system does not know its population up front.  Raises
+      [Invalid_argument] on a negative or non-finite [reconfig_cost]. *)
 
   val submit : t -> at:float -> Thread_model.t -> unit
   (** Admit a thread at time [at]: emits its [Thread_arrival] and starts
@@ -82,7 +83,10 @@ module Engine : sig
       simply compare times and step. *)
 
   val step : t -> bool
-  (** Process one pending event; [false] when the queue is empty. *)
+  (** Process one pending event; [false] when the queue is empty.  A
+      running kernel whose remaining time no longer advances the clock
+      (late in a very long run, where the spacing of floats exceeds it)
+      finishes at that event. *)
 
   val run_until : t -> float -> unit
   (** Step every pending event with time [<=] the given bound. *)
@@ -111,13 +115,14 @@ module Engine : sig
 
   val set_on_finish : t -> (int -> float -> unit) -> unit
   (** Called as [f id time] whenever a thread finishes (at
-      [Thread_finish] emission).  The callback must not re-enter the
-      engine; record the notification and act after {!step} returns. *)
+      [Thread_finish] emission), from inside {!step}.  The callback may
+      update the caller's own state but must not call into any engine;
+      act on the engine after {!step} returns. *)
 
   val set_on_grant : t -> (int -> float -> unit) -> unit
   (** Called as [f id time] at every kernel grant (first grant = the
-      thread became resident on the fabric).  Same re-entrancy rule as
-      {!set_on_finish}. *)
+      thread became resident on the fabric), from inside {!step} or
+      {!submit}.  Same re-entrancy rule as {!set_on_finish}. *)
 
   val result : t -> result_t
   (** Aggregate over every submitted thread, in submission order; also
@@ -132,8 +137,8 @@ val run :
   ?trace:Cgra_trace.Trace.t ->
   params ->
   result_t
-(** Raises [Invalid_argument] on unknown kernels or an empty thread
-    list.
+(** Raises [Invalid_argument] on unknown kernels, an empty thread
+    list, or a negative or non-finite [reconfig_cost].
 
     [policy] (default [Halving]) selects the allocator's contention
     policy.  [reconfig_cost] (default 0) charges that many cycles of

@@ -41,8 +41,8 @@ let default_params =
 
 (* The at-scale configuration (ROADMAP: tens of shards, 10^4+ requests).
    Eight of each fabric size keeps the compile cost at three unique
-   architectures while giving the coordinator 24 engines to settle per
-   epoch — the shape the parallel settle phase is built for. *)
+   architectures while giving the coordinator 24 engines whose wake-ups
+   it orders every epoch. *)
 let big_fleet =
   List.concat_map
     (fun size -> List.init 8 (fun _ -> { size; page_pes = 4 }))
@@ -99,11 +99,6 @@ type report = {
   shard_events : T.event list list;
 }
 
-(* Engine callbacks fire while a shard is being stepped — possibly on a
-   worker domain — so they only append to the shard's private buffer;
-   the coordinator drains every buffer at the next sync boundary. *)
-type cb = Cb_grant of int * float | Cb_finish of int * float
-
 type shard = {
   index : int;
   spec : shard_spec;
@@ -112,8 +107,8 @@ type shard = {
   pages_by_kernel : (string * int) list;
   engine : Os_sim.Engine.t;
   strace : T.t;
-  cbs : cb Queue.t;
   mutable active_epochs : int;
+  mutable active_in : int;  (* last epoch counted in [active_epochs] *)
   mutable served : int;
   mutable busy_cycles : float;
 }
@@ -182,7 +177,7 @@ let run ?pool ?(traced = false) p =
                      List.map
                        (fun (b : Binary.t) -> (b.name, Binary.pages_used b))
                        suite;
-                   engine; strace; cbs = Queue.create (); active_epochs = 0;
+                   engine; strace; active_epochs = 0; active_in = 0;
                    served = 0; busy_cycles = 0.0 }
                 :: acc)
                 rest)
@@ -226,13 +221,6 @@ let run ?pool ?(traced = false) p =
          queue_bound = p.queue_bound; max_resident = p.max_resident;
          requests = p.n_requests });
   let shard_arr = Array.of_list shards in
-  List.iter
-    (fun s ->
-      Os_sim.Engine.set_on_grant s.engine (fun rid time ->
-          Queue.add (Cb_grant (rid, time)) s.cbs);
-      Os_sim.Engine.set_on_finish s.engine (fun rid time ->
-          Queue.add (Cb_finish (rid, time)) s.cbs))
-    shards;
   let queues = Array.init p.n_tenants (fun _ -> Queue.create ()) in
   let latency_h = Hist.create () in
   let queue_wait_h = Hist.create () in
@@ -240,14 +228,17 @@ let run ?pool ?(traced = false) p =
   let rejected = ref 0 in
   let rev_log = ref [] in
   let n_epochs = ref 0 in
-  let process_grant shard_idx rid time =
+  (* Engine callbacks act directly: they fire in event order during the
+     replay below (or inside a dispatch's submit), and they touch only
+     coordinator records, never an engine. *)
+  let on_grant shard_idx rid time =
     let r = requests.(rid) in
     if Float.is_nan r.resident_at then begin
       r.resident_at <- time;
       T.emit_at ftrace ~time (T.Farm_resident { req = rid; shard = shard_idx })
     end
   in
-  let process_finish rid time =
+  let on_finish rid time =
     let r = requests.(rid) in
     let s = shard_arr.(r.shard) in
     r.retired_at <- time;
@@ -263,11 +254,20 @@ let run ?pool ?(traced = false) p =
          { req = rid; tenant = r.tenant; shard = r.shard;
            latency = time -. r.arrival })
   in
-  let process_cb shard_idx = function
-    | Cb_grant (rid, time) -> process_grant shard_idx rid time
-    | Cb_finish (rid, time) -> process_finish rid time
+  List.iter
+    (fun s ->
+      Os_sim.Engine.set_on_grant s.engine (on_grant s.index);
+      Os_sim.Engine.set_on_finish s.engine on_finish)
+    shards;
+  (* each shard's next wake-up, nan when its queue is empty; refreshed
+     only after the coordinator steps or submits to that shard *)
+  let wake = Array.make (Array.length shard_arr) Float.nan in
+  let refresh s =
+    wake.(s.index) <-
+      (match Os_sim.Engine.next_event s.engine with
+      | Some t -> t
+      | None -> Float.nan)
   in
-  let drain_cbs s = Queue.iter (process_cb s.index) s.cbs; Queue.clear s.cbs in
   (* load-aware shard candidates: fewest in-flight requests, then least
      allocated fabric, then lowest index — all deterministic signals,
      all read at a sync boundary where every shard is settled, once per
@@ -309,12 +309,12 @@ let run ?pool ?(traced = false) p =
               let reshape =
                 p.reconfig_cost *. float_of_int (need - free)
               in
-              let wake =
+              let wait =
                 match Os_sim.Engine.next_event s.engine with
                 | Some t -> t -. now
                 | None -> 0.0
               in
-              reshape <= wake)
+              reshape <= wait)
   in
   let dispatch r (s : shard) now =
     r.shard <- s.index;
@@ -327,9 +327,7 @@ let run ?pool ?(traced = false) p =
         segments =
           [ Thread_model.Kernel { kernel = r.kernel; iterations = r.iterations } ];
       };
-    (* a submit can grant pages synchronously: surface the residency now,
-       in admission order, rather than at the next boundary *)
-    drain_cbs s
+    refresh s
   in
   (* drain tenant queues (tenant order, FIFO within a tenant) while some
      shard has admission capacity; a tenant whose head request is
@@ -371,99 +369,63 @@ let run ?pool ?(traced = false) p =
     end
     else Queue.add r q
   in
-  (* The epoch-stepped coordinator.  Per epoch (t, t']:
-       1. settle — every shard runs its own events up to t', in parallel
-          across the pool (shards are share-nothing between boundaries;
-          callbacks buffer into per-shard logs);
-       2. merge — buffered grants/finishes and the window's arrivals are
-          replayed on the coordinator in one total order: (event time,
-          shard events before arrivals, shard index, buffer order);
-       3. dispatch — admission control runs at the boundary, submitting
-          new work at exactly t' (the settled engines' horizon).
-     Every decision reads settled, boundary-time state, so the run is a
-     pure function of the seed and the epoch length — byte-identical at
-     any pool width.  t' stretches beyond t + epoch when nothing (no
+  (* The epoch-stepped coordinator: one replay of each window (t, t'] in
+     event order, then dispatch at t'.  The replay takes the earliest
+     pending event first: a shard wake-up (lowest shard index on equal
+     times, stepped one event at a time so its callbacks act in order) or
+     an arrival (admitted to its tenant queue), a shard event before an
+     arrival at the same time.  Admission control then runs at the
+     boundary, submitting new work at exactly t'.  Dispatch reads only
+     boundary-time state, so the run is a pure function of the seed and
+     the epoch length.  t' stretches beyond t + epoch when nothing (no
      event, no arrival) lands earlier, so idle stretches cost one epoch,
-     and an arrival into an idle fleet is dispatched at its exact
-     arrival time. *)
+     and an arrival into an idle fleet is dispatched at its exact arrival
+     time. *)
   let ai = ref 0 in
-  let settle t' =
-    let one s =
-      (match Os_sim.Engine.next_event s.engine with
-      | Some te when te <= t' -> s.active_epochs <- s.active_epochs + 1
-      | Some _ | None -> ());
-      Os_sim.Engine.run_until s.engine t'
-    in
-    match pool with
-    | Some pool -> ignore (Cgra_util.Pool.map pool one shards)
-    | None -> List.iter one shards
-  in
-  let boundary t' =
-    incr n_epochs;
-    (* one totally ordered replay of the window: stable sort keeps each
-       shard's buffer order and the arrival order within equal keys *)
-    let items =
-      List.concat_map
-        (fun s ->
-          let l =
-            Queue.fold
-              (fun acc c ->
-                let time =
-                  match c with Cb_grant (_, t) | Cb_finish (_, t) -> t
-                in
-                (time, 0, s.index, `Cb c) :: acc)
-              [] s.cbs
-          in
-          Queue.clear s.cbs;
-          List.rev l)
-        shards
-    in
-    let arrivals = ref [] in
-    while
-      !ai < Array.length requests && requests.(!ai).arrival <= t'
-    do
-      arrivals := (requests.(!ai).arrival, 1, 0, `Arrival requests.(!ai)) :: !arrivals;
-      incr ai
+  (* the shard with the earliest wake-up, lowest index on ties; -1 when
+     every shard is idle *)
+  let earliest () =
+    let best = ref (-1) in
+    for i = 0 to Array.length wake - 1 do
+      let t = wake.(i) in
+      if (not (Float.is_nan t)) && (!best < 0 || t < wake.(!best)) then
+        best := i
     done;
-    let merged =
-      List.stable_sort
-        (fun (t1, k1, s1, _) (t2, k2, s2, _) -> compare (t1, k1, s1) (t2, k2, s2))
-        (items @ List.rev !arrivals)
-    in
-    List.iter
-      (fun (_, _, shard_idx, item) ->
-        match item with
-        | `Cb c -> process_cb shard_idx c
-        | `Arrival r -> admit r)
-      merged;
-    try_dispatch t'
+    !best
   in
-  let next_candidate () =
-    let ev =
-      List.fold_left
-        (fun acc s ->
-          match (Os_sim.Engine.next_event s.engine, acc) with
-          | None, a -> a
-          | Some t, None -> Some t
-          | Some t, Some a -> Some (Float.min t a))
-        None shards
-    in
-    let ar =
-      if !ai < Array.length requests then Some requests.(!ai).arrival else None
-    in
-    match (ev, ar) with
-    | None, None -> None
-    | (Some _ as x), None | None, (Some _ as x) -> x
-    | Some x, Some y -> Some (Float.min x y)
+  let arrival () =
+    if !ai < Array.length requests then requests.(!ai).arrival else Float.nan
+  in
+  let rec replay t' =
+    let i = earliest () in
+    let a = arrival () in
+    if i >= 0 && wake.(i) <= t' && not (a < wake.(i)) then begin
+      let s = shard_arr.(i) in
+      if s.active_in <> !n_epochs then begin
+        s.active_in <- !n_epochs;
+        s.active_epochs <- s.active_epochs + 1
+      end;
+      ignore (Os_sim.Engine.step s.engine);
+      refresh s;
+      replay t'
+    end
+    else if a <= t' then begin
+      admit requests.(!ai);
+      incr ai;
+      replay t'
+    end
   in
   let rec loop t =
-    match next_candidate () with
-    | None -> ()
-    | Some c ->
-        let t' = Float.max (t +. p.epoch) c in
-        settle t';
-        boundary t';
-        loop t'
+    let i = earliest () in
+    let a = arrival () in
+    let next = if i < 0 || a < wake.(i) then a else wake.(i) in
+    if not (Float.is_nan next) then begin
+      let t' = Float.max (t +. p.epoch) next in
+      incr n_epochs;
+      replay t';
+      try_dispatch t';
+      loop t'
+    end
   in
   loop 0.0;
   let makespan =

@@ -9,27 +9,26 @@
     queues and admission control.
 
     {b The epoch-stepped coordinator.}  The run is quantized into sync
-    epochs of [epoch] virtual cycles.  Per epoch [(t, t']]: every shard
-    first settles its own internal events up to [t'] — shards are
-    share-nothing between boundaries, so this phase fans out across the
-    [pool] worker domains, with grant/finish callbacks buffering into
-    per-shard logs; the coordinator then replays the window in one total
-    order (event time, shard events before arrivals, shard index, buffer
-    order), does admission, and dispatches queued requests at exactly
-    [t'].  A boundary stretches beyond [t + epoch] when nothing lands
-    earlier, so idle stretches cost one epoch and an arrival into an
-    idle fleet is dispatched at its exact arrival time.
+    epochs of [epoch] virtual cycles, which set only how often dispatch
+    runs.  Each window [(t, t']] is one replay in event order: the
+    earliest pending event goes first — a shard wake-up (lowest shard
+    index on equal times) or a request arrival, a shard event before an
+    arrival at the same time — and the shard engines' grant/finish
+    callbacks do the front end's accounting as they fire.  Queued
+    requests are then dispatched at exactly [t'].  A boundary stretches
+    beyond [t + epoch] when nothing lands earlier, so idle stretches
+    cost one epoch and an arrival into an idle fleet is dispatched at
+    its exact arrival time.
 
     Determinism is the contract.  Everything runs on the virtual clock —
     no wall time anywhere in the simulated path — and all randomness
     flows from the seeded {!Cgra_util.Rng}, so one seed (plus the epoch
     length, which is part of {!params}) fixes the whole run: arrivals,
-    admissions, dispatches, retirement log, quantiles.  Every
-    coordinator decision reads settled boundary-time state and the
-    merged replay order is a total order, so results are byte-identical
-    at any [-j] — the pool width changes the wall clock, never a byte
-    of the report, the traces, or the {!Cgra_prof.Metrics.Hist}
-    quantiles.
+    admissions, dispatches, retirement log, quantiles.  The replay order
+    is a total order and every dispatch decision reads boundary-time
+    state, so the report, the traces and the
+    {!Cgra_prof.Metrics.Hist} quantiles are byte-identical at any
+    [-j]: the pool only speeds the suite compiles.
 
     Admission bounds each tenant's queue at [queue_bound] (excess
     requests are rejected at arrival, never dropped later) and each
@@ -75,9 +74,10 @@ type params = {
   reconfig_cost : float;
   dispatch : dispatch;
   epoch : float;
-      (** sync-epoch length in virtual cycles; smaller epochs track
-          arrivals more tightly, larger epochs give the parallel settle
-          phase more work per barrier *)
+      (** sync-epoch length in virtual cycles: the dispatch cadence.
+          Shard events and arrivals are replayed in exact time order
+          whatever the epoch; queued requests wait for the next
+          boundary, so smaller epochs dispatch them sooner *)
 }
 
 val default_params : params
@@ -129,8 +129,9 @@ type shard_report = {
           {!Cgra_prof.Analyze.profile} reconstructs from the shard's
           trace *)
   s_epochs : int;
-      (** sync epochs in which this shard had at least one internal
-          event to step — its share of the front end's settle work *)
+      (** sync epochs in which this shard stepped at least one
+          internal event — its share of the coordinator's replay
+          work *)
   s_os : Cgra_core.Os_sim.result_t;
 }
 
@@ -159,9 +160,9 @@ val run :
   ?traced:bool ->
   params ->
   (report, string) result
-(** Simulate the farm.  The [pool] parallelizes suite compilation and
-    the per-epoch shard settle phase; both are bit-deterministic at any
-    width.  [traced] (default false) collects the front end's [farm_*]
+(** Simulate the farm.  The [pool] parallelizes suite compilation
+    only (bit-deterministic at any width); the coordinator itself is
+    sequential.  [traced] (default false) collects the front end's [farm_*]
     stream and one OS stream per shard; tracing never changes the
     simulation.  Errors are validation or compile failures; validation
     rejects non-finite or out-of-range [offered_load], [reconfig_cost]

@@ -46,12 +46,6 @@ val sim_rate : string -> bool
     they gate upward with the 2.0x jitter ratio rather than an
     epsilon. *)
 
-val speedup : string -> bool
-(** The "sim-rate speedup" row (parallel over sequential rate) is gated
-    against {!speedup_floor} of its own recorded pool width — an
-    absolute floor on the fresh measurement, not a baseline
-    comparison. *)
-
 val scaling : string -> bool
 (** Farm rows containing "scaling" are a wall-clock growth ratio,
     wall(2N)/wall(N) for N and 2N requests on one host.  They gate
@@ -61,13 +55,6 @@ val scaling : string -> bool
 
 val scaling_bound : float
 (** 2.5: the ceiling {!scaling} rows are held to. *)
-
-val speedup_floor : domains:int -> float
-(** The parallel coordinator's scaling contract, machine-aware: a pool
-    that really ran [>= 4] domains owes a 2.0x speedup over sequential;
-    a machine too narrow to widen the pool (the row records the
-    effective width) just must not run the parallel path slower than
-    sequential (0.85). *)
 
 val higher_is_better : string -> bool
 (** Rows named with the "fig8" prefix are deterministic quality scores

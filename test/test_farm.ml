@@ -26,9 +26,9 @@ let run_ok ?pool ?traced p =
 (* ---------- seeded determinism at any -j ---------- *)
 
 (* [clamp:false] keeps the requested width even on single-core machines,
-   so the epoch coordinator's settle phase genuinely fans out across
-   domains — the byte-compare then proves the parallel path, not the
-   sequential fallback. *)
+   so the suite compiles genuinely fan out across domains; the
+   coordinator is sequential, and the byte-compare proves the pool width
+   never reaches the report or the farm_* stream. *)
 let test_determinism_across_widths () =
   let surface width =
     Cgra_util.Pool.with_pool ~clamp:false ~domains:width (fun pool ->
@@ -96,17 +96,49 @@ let test_rejections_respect_bound () =
    intentional, print the stream and update. *)
 let golden_stream_digest = "a7db4b97fef8df832ffa6e3d3dcc3e83"
 
+(* Two fleet-scale inputs pin the cross-shard event order: with many
+   shards waking at equal times, any change to which shard's grants and
+   finishes are replayed first moves the retirement log, the farm_*
+   stream or a shard's stream.  Each surface is pinned by its own
+   digest: render with the retirement log and the per-shard epoch
+   stats, the farm_* JSONL, and the concatenated per-shard JSONL. *)
+let golden_fleet =
+  [
+    ( "default fleet at load 4",
+      { Farm.default_params with offered_load = 4.0 },
+      ( "6bed559dbcf8fc59d00116dc0076945e",
+        "0e2fb2f1ed7e90ac15d81e902383cec2",
+        "0d0a59f572703b11a7accab4f2ac8554" ) );
+    ( "big fleet, 400 requests",
+      { Farm.big_params with n_requests = 400 },
+      ( "787b5026b849c38cf5e873a11669133a",
+        "3d3afa2cf0530707a52bb0a71b930227",
+        "5d0c7c0f1a372c8e1d061db5fe0e2395" ) );
+  ]
+
 let test_golden_stream () =
   let r = run_ok ~traced:true small_params in
   let jsonl = Export.jsonl r.Farm.farm_events in
   Alcotest.(check string) "golden farm_* JSONL digest" golden_stream_digest
     (Digest.to_hex (Digest.string jsonl));
-  (* and the stream round-trips through the JSONL reader *)
-  match Export.of_jsonl jsonl with
+  (match Export.of_jsonl jsonl with
   | Error e -> Alcotest.failf "of_jsonl: %s" e
   | Ok events ->
+      (* and the stream round-trips through the JSONL reader *)
       Alcotest.(check string) "round-trip re-encodes identically" jsonl
-        (Export.jsonl events)
+        (Export.jsonl events));
+  let hex s = Digest.to_hex (Digest.string s) in
+  List.iter
+    (fun (what, p, (render_d, farm_d, shards_d)) ->
+      let r = run_ok ~traced:true p in
+      Alcotest.(check string) (what ^ ": render + log + stats digest")
+        render_d
+        (hex (Farm.render ~log:true r ^ Farm.render_stats r));
+      Alcotest.(check string) (what ^ ": farm_* JSONL digest") farm_d
+        (hex (Export.jsonl r.Farm.farm_events));
+      Alcotest.(check string) (what ^ ": shard JSONL digest") shards_d
+        (hex (String.concat "" (List.map Export.jsonl r.Farm.shard_events))))
+    golden_fleet
 
 (* ---------- differential: spans vs front-end accounting ---------- *)
 

@@ -374,11 +374,16 @@ let test_workload_need_fraction () =
 
 let test_workload_invalid_need () =
   let suite = Lazy.force suite_4x4_p4 in
-  Alcotest.(check bool) "raises" true
-    (try
-       ignore (Workload.generate ~seed:0 ~n_threads:1 ~cgra_need:1.0 ~suite ());
-       false
-     with Invalid_argument _ -> true)
+  (* NaN fails every comparison, so it must not slip past the range check *)
+  List.iter
+    (fun need ->
+      Alcotest.(check bool) (Printf.sprintf "need %g raises" need) true
+        (try
+           ignore
+             (Workload.generate ~seed:0 ~n_threads:1 ~cgra_need:need ~suite ());
+           false
+         with Invalid_argument _ -> true))
+    [ 1.0; 0.0; Float.nan ]
 
 (* ---------- Os_sim ---------- *)
 
@@ -640,9 +645,9 @@ let test_engine_drain_empty () =
   Alcotest.check (Alcotest.float 0.0) "zero makespan" 0.0 r.Os_sim.makespan
 
 let test_engine_run_until_inclusive () =
-  (* [run_until t] steps events at exactly [t] — the epoch-boundary case
-     the parallel farm coordinator depends on: a shard settled to the
-     sync point must have consumed every event landing on it *)
+  (* [run_until t] steps events at exactly [t] — the epoch-boundary
+     case: a shard settled to a sync point must have consumed every
+     event landing on it *)
   let e = fresh_engine () in
   Os_sim.Engine.submit e ~at:0.0 (kernel_thread 1);
   match Os_sim.Engine.next_event e with
@@ -664,7 +669,8 @@ let test_engine_run_until_inclusive () =
       Alcotest.(check int) "thread finished" 0 (Os_sim.Engine.in_flight e)
 
 let test_engine_rejects_nan_cost () =
-  (* NaN passes a [< 0.0] check and then never settles a reshape *)
+  (* NaN passes a [< 0.0] check and then never settles a reshape; an
+     infinite cost posts every reshaped kernel's wake-up at infinity *)
   List.iter
     (fun cost ->
       match
@@ -673,7 +679,30 @@ let test_engine_rejects_nan_cost () =
       with
       | _ -> Alcotest.failf "reconfig cost %g accepted" cost
       | exception Invalid_argument _ -> ())
-    [ Float.nan; -1.0 ]
+    [ Float.nan; Float.infinity; -1.0 ]
+
+(* A huge CPU phase puts the kernel that follows it where the clock's
+   spacing (hundreds of cycles at 2^60) exceeds a kernel's last fraction
+   of an iteration.  That remainder must finish the kernel: re-posting
+   it at [now + remainder] rounds back to [now] and re-fires forever.
+   The step budget turns such a livelock into a failure. *)
+let test_engine_coarse_clock_terminates () =
+  let e = fresh_engine () in
+  Os_sim.Engine.submit e ~at:0.0
+    {
+      Thread_model.id = 1;
+      segments =
+        [ Thread_model.Cpu (1 lsl 60);
+          Thread_model.Kernel { kernel = "mpeg"; iterations = 41 } ];
+    };
+  let rec drain budget =
+    if budget = 0 then Alcotest.fail "engine still stepping after 10000 events"
+    else if Os_sim.Engine.step e then drain (budget - 1)
+  in
+  drain 10_000;
+  Alcotest.(check int) "thread finished" 0 (Os_sim.Engine.in_flight e);
+  Alcotest.(check int) "one finish" 1
+    (List.length (Os_sim.Engine.result e).Os_sim.finishes)
 
 (* ---------- Engine work: resync walks live threads only ---------- *)
 
@@ -808,6 +837,8 @@ let () =
             test_engine_run_until_inclusive;
           Alcotest.test_case "rejects NaN reconfig cost" `Quick
             test_engine_rejects_nan_cost;
+          Alcotest.test_case "terminates on a coarse clock" `Quick
+            test_engine_coarse_clock_terminates;
           Alcotest.test_case "resync work linear in requests" `Quick
             test_engine_resync_work_linear;
         ] );
