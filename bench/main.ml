@@ -2,16 +2,19 @@
    and micro-benchmarks the PageMaster transformation (the low-order
    polynomial-time claim) and the compiler.
 
-   Usage:  dune exec bench/main.exe                  (everything)
-           dune exec bench/main.exe -- fig8          (Fig. 8 only)
-           dune exec bench/main.exe -- fig9          (Fig. 9 only)
-           dune exec bench/main.exe -- micro         (micro-benchmarks)
-           dune exec bench/main.exe -- micro --json  (also write BENCH_micro.json)
-           dune exec bench/main.exe -- fig9 --json   (also write BENCH_fig9.json)
-           dune exec bench/main.exe -- fig8 --json   (also write BENCH_fig8.json)
-           dune exec bench/main.exe -- farm --json   (also write BENCH_farm.json)
-           dune exec bench/main.exe -- gate          (re-run + compare baselines)
-           dune exec bench/main.exe -- gate --check  (validate baselines only)
+   Usage:  dune exec bench/main.exe                   (default families + ablations)
+           dune exec bench/main.exe -- FAMILY         (one family, see below)
+           dune exec bench/main.exe -- FAMILY --json  (also write its BENCH_*.json)
+           dune exec bench/main.exe -- ablation       (ablations only)
+           dune exec bench/main.exe -- gate           (re-run + compare baselines)
+           dune exec bench/main.exe -- gate --check   (validate baselines only)
+           dune exec bench/main.exe -- gate --farm-big  (also gate farm-big)
+
+   The bench families are the entries of [families] below: micro, fig9,
+   fig8, farm and farm-big.  Family NAME writes BENCH_NAME.json ("-" as
+   "_") at the repo root; a family left out of the default set (farm-big)
+   joins `gate` when its --NAME flag is given.  Adding a family is one
+   registry entry plus its [collect] function.
 
    Timing discipline: every micro row is min-of-N (warm-up, calibrated
    repetition count, N timed samples, minimum recorded) with the run
@@ -27,20 +30,32 @@
    across PRs. *)
 
 open Cgra_core
+module Bench_gate = Cgra_prof.Bench_gate
+module Pool = Cgra_util.Pool
 
 let line = String.make 78 '='
 
 let section title = Printf.printf "\n%s\n%s\n%s\n" line title line
 
-(* ----- min-of-N timing ----- *)
+(* ----- min-of-N rows ----- *)
 
-type measured = {
-  m_name : string;
-  ns : float;  (* minimum ns per run over the samples *)
-  runs : int;  (* samples taken *)
-  spread : float;  (* (max-min)/min over the samples, percent *)
-  domains : int;  (* pool width the measured code ran at *)
-}
+(* The gated row for the samples of one metric: [pick] chooses the
+   recorded value (the minimum of wall times, the best of rates, the
+   median of ratios); the spread is (max-min)/min over the samples, in
+   percent. *)
+let summarize ?(domains = 1) ?(pick = `Min) name samples : Bench_gate.row =
+  let sorted = Array.of_list samples in
+  Array.sort Float.compare sorted;
+  let n = Array.length sorted in
+  let mn = sorted.(0) and mx = sorted.(n - 1) in
+  {
+    name;
+    value =
+      (match pick with `Min -> mn | `Max -> mx | `Median -> sorted.(n / 2));
+    domains;
+    runs = n;
+    spread = (if mn > 0.0 then (mx -. mn) /. mn *. 100.0 else 0.0);
+  }
 
 let n_samples = 5
 
@@ -48,8 +63,9 @@ let n_samples = 5
    batch takes >= 20 ms (so the 1 us clock quantizes below 0.01%), then
    take [n_samples] batches and keep the minimum — the least-disturbed
    run on a shared machine, which is what makes committed rows stable
-   enough to gate on. *)
-let measure ?(domains = 1) name f =
+   enough to gate on.  [domains] is the pool width the measured code ran
+   at. *)
+let measure ?domains name f =
   ignore (f ());
   let batch reps =
     let t0 = Unix.gettimeofday () in
@@ -63,82 +79,22 @@ let measure ?(domains = 1) name f =
     else calibrate (reps * 4)
   in
   let reps = calibrate 1 in
-  let samples =
-    List.init n_samples (fun _ -> batch reps /. float_of_int reps *. 1e9)
-  in
-  let mn = List.fold_left Float.min infinity samples in
-  let mx = List.fold_left Float.max neg_infinity samples in
-  {
-    m_name = name;
-    ns = mn;
-    runs = n_samples;
-    spread = (if mn > 0.0 then (mx -. mn) /. mn *. 100.0 else 0.0);
-    domains;
-  }
+  summarize ?domains name
+    (List.init n_samples (fun _ -> batch reps /. float_of_int reps *. 1e9))
 
 let show rows =
   List.iter
-    (fun r ->
+    (fun (r : Bench_gate.row) ->
       let human =
-        if r.ns >= 1_000_000.0 then Printf.sprintf "%10.2f ms/run" (r.ns /. 1e6)
-        else if r.ns >= 1_000.0 then Printf.sprintf "%10.2f us/run" (r.ns /. 1e3)
-        else Printf.sprintf "%10.0f ns/run" r.ns
+        if r.value >= 1_000_000.0 then
+          Printf.sprintf "%10.2f ms/run" (r.value /. 1e6)
+        else if r.value >= 1_000.0 then
+          Printf.sprintf "%10.2f us/run" (r.value /. 1e3)
+        else Printf.sprintf "%10.0f ns/run" r.value
       in
-      Printf.printf "  %-40s %s  (min of %d, spread %.1f%%)\n" r.m_name human
+      Printf.printf "  %-40s %s  (min of %d, spread %.1f%%)\n" r.name human
         r.runs r.spread)
     rows
-
-(* ----- machine-readable baselines ----- *)
-
-let json_string s =
-  let b = Buffer.create (String.length s + 2) in
-  Buffer.add_char b '"';
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.add_char b '"';
-  Buffer.contents b
-
-(* [results] are measured rows in [unit_]; validated with the project's
-   own JSON parser before the file is written, and parseable back with
-   Cgra_prof.Bench_gate.parse (the gate's reader). *)
-let bench_doc ~bench ~unit_ ~domains ~extras results =
-  let b = Buffer.create 1024 in
-  Buffer.add_string b "{\n";
-  Printf.bprintf b "  \"bench\": %s,\n" (json_string bench);
-  Printf.bprintf b "  \"domains\": %d,\n" domains;
-  List.iter (fun (k, v) -> Printf.bprintf b "  %s: %s,\n" (json_string k) v) extras;
-  Printf.bprintf b "  \"unit\": %s,\n" (json_string unit_);
-  Buffer.add_string b "  \"results\": [\n";
-  let n = List.length results in
-  List.iteri
-    (fun i r ->
-      Printf.bprintf b
-        "    { \"name\": %s, \"value\": %.3f, \"domains\": %d, \"runs\": %d, \
-         \"spread\": %.1f }%s\n"
-        (json_string r.m_name) r.ns r.domains r.runs r.spread
-        (if i = n - 1 then "" else ","))
-    results;
-  Buffer.add_string b "  ]\n}\n";
-  let data = Buffer.contents b in
-  (match Cgra_trace.Json.parse data with
-  | Ok _ -> ()
-  | Error e -> failwith ("emitted " ^ bench ^ " baseline is not valid JSON: " ^ e));
-  (match Cgra_prof.Bench_gate.parse data with
-  | Ok _ -> ()
-  | Error e -> failwith ("emitted " ^ bench ^ " baseline does not gate-parse: " ^ e));
-  data
-
-let write_bench_json ~path ~bench ~unit_ ~domains ~extras results =
-  let data = bench_doc ~bench ~unit_ ~domains ~extras results in
-  let oc = open_out path in
-  Fun.protect ~finally:(fun () -> close_out oc) (fun () -> output_string oc data);
-  Printf.printf "\nwrote %s (%d results, %s)\n" path (List.length results) unit_
 
 (* ----- Fig. 8: compile-time constraint cost ----- *)
 
@@ -147,104 +103,83 @@ let write_bench_json ~path ~bench ~unit_ ~domains ~extras results =
    are deterministic functions of the scheduler at seed 0 — no timing,
    no spread — so the gate direction flips: a drop in any row means the
    compiler got worse at its job. *)
-let fig8_rows ~pool ~quiet () =
-  let w = Cgra_util.Pool.width pool in
-  List.filter_map
+let fig8 ~pool ~quiet =
+  if not quiet then
+    section
+      "Figure 8 - performance cost of the paging constraints (100 * II_b / \
+       II_c)";
+  List.concat_map
     (fun size ->
-      List.find_map
+      let figs = Experiments.fig8_all ~pool ~size () in
+      if not quiet then
+        List.iter
+          (fun f ->
+            print_newline ();
+            print_endline (Experiments.render_fig8 f))
+          figs;
+      List.filter_map
         (fun (f : Experiments.fig8) ->
           if f.page_pes <> 4 then None
-          else begin
-            if not quiet then begin
-              print_newline ();
-              print_endline (Experiments.render_fig8 f)
-            end;
+          else
             Some
-              {
-                m_name = Printf.sprintf "fig8 %dx%d p4 geomean" size size;
-                ns = f.geomean_pct;
-                runs = 1;
-                spread = 0.0;
-                domains = w;
-              }
-          end)
-        (Experiments.fig8_all ~pool ~size ()))
+              (summarize ~domains:(Pool.width pool)
+                 (Printf.sprintf "fig8 %dx%d p4 geomean" size size)
+                 [ f.geomean_pct ]))
+        figs)
     Experiments.cgra_sizes
 
-let run_fig8 ~pool ~json () =
-  section "Figure 8 - performance cost of the paging constraints (100 * II_b / II_c)";
-  List.iter
-    (fun size ->
-      List.iter
-        (fun f ->
-          print_newline ();
-          print_endline (Experiments.render_fig8 f))
-        (Experiments.fig8_all ~pool ~size ()))
-    Experiments.cgra_sizes;
-  if json then
-    write_bench_json ~path:"BENCH_fig8.json" ~bench:"fig8" ~unit_:"percent"
-      ~domains:(Cgra_util.Pool.width pool) ~extras:[]
-      (fig8_rows ~pool ~quiet:true ())
-
 (* ----- Fig. 9: multithreading improvement ----- *)
+
+let fig9_replicates = 3
 
 (* Wall-clock rows are min-of-N too: each sample clears the compile memo
    so every run pays the same (cold) compile path, and only the first
    sample prints the figures. *)
 let fig9_samples = 3
 
-let fig9_rows ~pool ~replicates ~quiet () =
-  let w = Cgra_util.Pool.width pool in
-  List.map
-    (fun size ->
-      let sample i =
-        Binary.clear_cache ();
-        let t0 = Unix.gettimeofday () in
-        let figs = Experiments.fig9_all ~replicates ~pool ~size () in
-        let dt = Unix.gettimeofday () -. t0 in
-        if i = 0 && not quiet then
-          List.iter
-            (fun f ->
-              print_newline ();
-              print_endline (Experiments.render_fig9 f))
-            figs;
-        dt
-      in
-      let samples = List.init fig9_samples sample in
-      let mn = List.fold_left Float.min infinity samples in
-      let mx = List.fold_left Float.max neg_infinity samples in
-      {
-        m_name = Printf.sprintf "fig9 %dx%d sweep" size size;
-        ns = mn;
-        runs = fig9_samples;
-        spread = (if mn > 0.0 then (mx -. mn) /. mn *. 100.0 else 0.0);
-        domains = w;
-      })
-    Experiments.cgra_sizes
-
-let fig9_with_total rows ~w =
-  let total = List.fold_left (fun acc r -> acc +. r.ns) 0.0 rows in
+let fig9 ~pool ~quiet =
+  if not quiet then
+    section
+      (Printf.sprintf
+         "Figure 9 - throughput improvement of multithreading (mean of %d \
+          workloads)"
+         fig9_replicates);
+  let w = Pool.width pool in
+  let rows =
+    List.map
+      (fun size ->
+        let sample i =
+          Binary.clear_cache ();
+          let t0 = Unix.gettimeofday () in
+          let figs =
+            Experiments.fig9_all ~replicates:fig9_replicates ~pool ~size ()
+          in
+          let dt = Unix.gettimeofday () -. t0 in
+          if i = 0 && not quiet then
+            List.iter
+              (fun f ->
+                print_newline ();
+                print_endline (Experiments.render_fig9 f))
+              figs;
+          dt
+        in
+        summarize ~domains:w
+          (Printf.sprintf "fig9 %dx%d sweep" size size)
+          (List.init fig9_samples sample))
+      Experiments.cgra_sizes
+  in
+  let total =
+    List.fold_left (fun acc (r : Bench_gate.row) -> acc +. r.value) 0.0 rows
+  in
   let spread =
-    List.fold_left (fun acc r -> Float.max acc r.spread) 0.0 rows
+    List.fold_left (fun acc (r : Bench_gate.row) -> Float.max acc r.spread)
+      0.0 rows
   in
   rows
   @ [
-      { m_name = "fig9 full sweep"; ns = total; runs = fig9_samples; spread;
+      { name = "fig9 full sweep"; value = total; runs = fig9_samples; spread;
         domains = w };
     ]
-
-let run_fig9 ~pool ~replicates ~json () =
-  section
-    (Printf.sprintf
-       "Figure 9 - throughput improvement of multithreading (mean of %d workloads)"
-       replicates);
-  let rows = fig9_rows ~pool ~replicates ~quiet:false () in
-  let w = Cgra_util.Pool.width pool in
-  if json then
-    write_bench_json ~path:"BENCH_fig9.json" ~bench:"fig9" ~unit_:"wall_s"
-      ~domains:w
-      ~extras:[ ("replicates", string_of_int replicates) ]
-      (fig9_with_total rows ~w)
 
 (* ----- micro-benchmarks ----- *)
 
@@ -366,62 +301,52 @@ let warm_start_benches arch =
         ignore (Result.get_ok (Binary.compile_suite arch)) );
   ]
 
-let micro_rows ~quiet () =
-  let collect title benches =
+(* The micro rows time their own code paths, sequential or on their own
+   4-domain pool, so the harness's pool goes unused. *)
+let micro ~pool:_ ~quiet =
+  if not quiet then
+    section "Micro-benchmarks - PageMaster runtime vs. compiler runtime";
+  let group title measure_rows =
     if not quiet then print_endline title;
-    let rows = List.map (fun (name, f) -> measure name f) benches in
+    let rows = measure_rows () in
     if not quiet then show rows;
     rows
+  in
+  let measure_all ?domains benches () =
+    List.map (fun (name, f) -> measure ?domains name f) benches
   in
   let transform_rows =
-    collect "\nPageMaster fold (runtime transformation):" (transform_benches ())
+    group "\nPageMaster fold (runtime transformation):"
+      (measure_all (transform_benches ()))
   in
   let greedy_rows =
-    collect "\nGreedy Algorithm 1 (page-level, growing N, 8 kernel iterations):"
-      (greedy_benches ())
+    group "\nGreedy Algorithm 1 (page-level, growing N, 8 kernel iterations):"
+      (measure_all (greedy_benches ()))
   in
   let mapper_rows =
-    collect
+    group
       "\nCompiler (for contrast: the transformation must be, and is, orders of\n\
        magnitude cheaper than recompiling):"
-      (mapper_benches ())
+      (measure_all (mapper_benches ()))
   in
   let raced_rows =
-    if not quiet then
-      print_endline
-        "\nCompiler, speculative race (same results, ladder fanned across 4 \
-         domains):";
-    let rows =
-      Cgra_util.Pool.with_pool ~domains:4 (fun pool ->
-          List.map
-            (fun (name, f) -> measure ~domains:4 name f)
-            (mapper_raced_benches ~pool ~j:4 ()))
-    in
-    if not quiet then show rows;
-    rows
+    group
+      "\nCompiler, speculative race (same results, ladder fanned across 4 \
+       domains):"
+      (fun () ->
+        Pool.with_pool ~domains:4 (fun pool ->
+            measure_all ~domains:4 (mapper_raced_benches ~pool ~j:4 ()) ()))
   in
   let warm_rows =
-    if not quiet then
-      print_endline
-        "\nWarm start from the persistent store (per-run: drop the in-memory \
-         memo,\n\
-         then load, integrity-check and decode the disk artifact; 0 scheduler \
-         runs):";
-    let rows =
-      with_warm_store (fun arch ->
-          List.map (fun (name, f) -> measure name f) (warm_start_benches arch))
-    in
-    if not quiet then show rows;
-    rows
+    group
+      "\nWarm start from the persistent store (per-run: drop the in-memory \
+       memo,\n\
+       then load, integrity-check and decode the disk artifact; 0 scheduler \
+       runs):"
+      (fun () ->
+        with_warm_store (fun arch -> measure_all (warm_start_benches arch) ()))
   in
   transform_rows @ greedy_rows @ mapper_rows @ raced_rows @ warm_rows
-
-let run_micro ~json () =
-  section "Micro-benchmarks - PageMaster runtime vs. compiler runtime";
-  let rows = micro_rows ~quiet:false () in
-  if json then
-    write_bench_json ~path:"BENCH_micro.json" ~bench:"micro" ~unit_:"ns_per_run"
-      ~domains:1 ~extras:[] rows
 
 (* ----- farm: sustained-load serving rows ----- *)
 
@@ -454,26 +379,22 @@ let farm_quality_metrics =
 (* One config, min-of-[farm_samples]: returns the first report (for
    rendering) and the metric rows. *)
 let farm_metric_rows ~pool ~prefix p =
-  let w = Cgra_util.Pool.width pool in
   let reports = List.init farm_samples (fun _ -> farm_run ~pool p) in
   let rows =
     List.map
       (fun (name, read) ->
-        let samples = List.map read reports in
-        let mn = List.fold_left Float.min infinity samples in
-        let mx = List.fold_left Float.max neg_infinity samples in
-        {
-          m_name = Printf.sprintf "%s %s" prefix name;
-          ns = mn;
-          runs = farm_samples;
-          spread = (if mn > 0.0 then (mx -. mn) /. mn *. 100.0 else 0.0);
-          domains = w;
-        })
+        summarize ~domains:(Pool.width pool)
+          (Printf.sprintf "%s %s" prefix name)
+          (List.map read reports))
       farm_quality_metrics
   in
   (List.hd reports, rows)
 
-let farm_rows ~pool ~quiet () =
+let farm ~pool ~quiet =
+  if not quiet then
+    section
+      "Farm - sustained multi-tenant load on the mixed fleet (deterministic, \
+       virtual clock)";
   List.concat_map
     (fun load ->
       let p = { Cgra_farm.Farm.default_params with offered_load = load } in
@@ -487,19 +408,6 @@ let farm_rows ~pool ~quiet () =
       rows)
     farm_loads
 
-let run_farm ~pool ~json () =
-  section
-    "Farm - sustained multi-tenant load on the mixed fleet (deterministic, \
-     virtual clock)";
-  let rows = farm_rows ~pool ~quiet:false () in
-  if json then
-    write_bench_json ~path:"BENCH_farm.json" ~bench:"farm"
-      ~unit_:"req_per_kcycle|cycles" ~domains:(Cgra_util.Pool.width pool)
-      ~extras:
-        [ ("requests", string_of_int Cgra_farm.Farm.default_params.n_requests);
-          ("seed", string_of_int Cgra_farm.Farm.default_params.seed) ]
-      rows
-
 (* ----- farm-big: the at-scale harness ----- *)
 
 (* Farm.big_params: 24 mixed shards, 8 tenants, 10^4 requests.  The
@@ -510,7 +418,7 @@ let run_farm ~pool ~json () =
    wall-clock simulation rate of the epoch coordinator, and the
    wall(2N)/wall(N) scaling row Bench_gate holds to a fixed ceiling. *)
 
-let farm_big_quality_rows ~pool ~quiet () =
+let farm_big_quality_rows ~pool ~quiet =
   let p = Cgra_farm.Farm.big_params in
   let show (r : Cgra_farm.Farm.report) =
     if not quiet then begin
@@ -561,163 +469,137 @@ let farm_big_scaling_row () =
   in
   let p2 = { p with Cgra_farm.Farm.n_requests = 2 * n } in
   ignore (farm_run p2);
-  let ratios =
-    List.init scaling_samples (fun _ ->
-        let w1 = wall p in
-        wall p2 /. w1)
-    |> List.sort Float.compare
-  in
-  let mn = List.hd ratios and mx = List.nth ratios (scaling_samples - 1) in
-  { m_name = "farm-big scaling wall(2N)/wall(N)";
-    ns = List.nth ratios (scaling_samples / 2); runs = scaling_samples;
-    spread = (mx -. mn) /. mn *. 100.0; domains = 1 }
+  summarize ~pick:`Median "farm-big scaling wall(2N)/wall(N)"
+    (List.init scaling_samples (fun _ ->
+         let w1 = wall p in
+         wall p2 /. w1))
 
 (* Requests per wall-second through the coordinator, min-of-N (best
    rate), with the suite compile pre-warmed so the clock sees the
    discrete-event front end and not the mapper. *)
-let farm_big_rate_rows ~quiet () =
+let farm_big_rate_rows ~quiet =
   let p = Cgra_farm.Farm.big_params in
   ignore (farm_run p);
-  let samples =
-    List.init farm_samples (fun _ ->
-        let t0 = Unix.gettimeofday () in
-        ignore (farm_run p);
-        float_of_int p.Cgra_farm.Farm.n_requests
-        /. (Unix.gettimeofday () -. t0))
+  let rate =
+    summarize ~pick:`Max "farm-big sim-rate -j1"
+      (List.init farm_samples (fun _ ->
+           let t0 = Unix.gettimeofday () in
+           ignore (farm_run p);
+           float_of_int p.Cgra_farm.Farm.n_requests
+           /. (Unix.gettimeofday () -. t0)))
   in
-  let mn = List.fold_left Float.min infinity samples in
-  let mx = List.fold_left Float.max neg_infinity samples in
-  let spread = if mn > 0.0 then (mx -. mn) /. mn *. 100.0 else 0.0 in
-  let rows =
-    [
-      { m_name = "farm-big sim-rate -j1"; ns = mx; runs = farm_samples;
-        spread; domains = 1 };
-      farm_big_scaling_row ();
-    ]
-  in
+  let rows = [ rate; farm_big_scaling_row () ] in
   if not quiet then begin
     print_endline "\nFront-end simulation rate (requests/wall-second):";
     List.iter
-      (fun r ->
+      (fun (r : Bench_gate.row) ->
         let value =
-          if Cgra_prof.Bench_gate.scaling r.m_name then
-            Printf.sprintf "%12.2fx" r.ns
-          else Printf.sprintf "%7.0f req/s" r.ns
+          if Bench_gate.scaling r.name then Printf.sprintf "%12.2fx" r.value
+          else Printf.sprintf "%7.0f req/s" r.value
         in
         Printf.printf "  %-36s %s  (%s of %d, spread %.1f%%, %d domain%s)\n"
-          r.m_name value
-          (if Cgra_prof.Bench_gate.scaling r.m_name then "median" else "best")
+          r.name value
+          (if Bench_gate.scaling r.name then "median" else "best")
           r.runs r.spread r.domains
           (if r.domains = 1 then "" else "s"))
       rows
   end;
   rows
 
-let run_farm_big ~pool ~json () =
-  section
-    "Farm at scale - 24 mixed shards, 8 tenants, 10000 requests (epoch \
-     coordinator)";
-  let quality = farm_big_quality_rows ~pool ~quiet:false () in
-  let rates = farm_big_rate_rows ~quiet:false () in
-  if json then
-    write_bench_json ~path:"BENCH_farm_big.json" ~bench:"farm-big"
-      ~unit_:"req_per_kcycle|cycles|req_per_wall_s"
-      ~domains:(Cgra_util.Pool.width pool)
-      ~extras:
-        [ ("requests", string_of_int Cgra_farm.Farm.big_params.n_requests);
-          ("shards",
-           string_of_int (List.length Cgra_farm.Farm.big_params.fleet));
-          ("tenants", string_of_int Cgra_farm.Farm.big_params.n_tenants);
-          ("seed", string_of_int Cgra_farm.Farm.big_params.seed) ]
-      (quality @ rates)
+let farm_big ~pool ~quiet =
+  if not quiet then
+    section
+      "Farm at scale - 24 mixed shards, 8 tenants, 10000 requests (epoch \
+       coordinator)";
+  let quality = farm_big_quality_rows ~pool ~quiet in
+  quality @ farm_big_rate_rows ~quiet
+
+(* ----- the bench-family registry ----- *)
+
+type family = {
+  name : string;  (** mode name; the baseline is [Bench_gate.file name] *)
+  unit_ : string;
+  extras : (string * Cgra_trace.Json.value) list;
+      (** run parameters recorded in the baseline file *)
+  in_default : bool;
+      (** run by the default mode and a plain [gate]; otherwise [--NAME]
+          opts the family into [gate] *)
+  collect : pool:Pool.t -> quiet:bool -> Bench_gate.row list;
+      (** measure the family once, printing its report unless [quiet] *)
+}
+
+(* In `gate` order. *)
+let families =
+  let int = Cgra_trace.Json.num_of_int in
+  let nominal = Cgra_farm.Farm.default_params in
+  let big = Cgra_farm.Farm.big_params in
+  [
+    { name = "micro"; unit_ = "ns_per_run"; extras = []; in_default = true;
+      collect = micro };
+    { name = "fig9"; unit_ = "wall_s";
+      extras = [ ("replicates", int fig9_replicates) ]; in_default = true;
+      collect = fig9 };
+    { name = "fig8"; unit_ = "percent"; extras = []; in_default = true;
+      collect = fig8 };
+    { name = "farm"; unit_ = "req_per_kcycle|cycles";
+      extras =
+        [ ("requests", int nominal.n_requests); ("seed", int nominal.seed) ];
+      in_default = true; collect = farm };
+    (* re-measures a 10^4-request fleet seven ways: opt-in *)
+    { name = "farm-big"; unit_ = "req_per_kcycle|cycles|req_per_wall_s";
+      extras =
+        [ ("requests", int big.n_requests);
+          ("shards", int (List.length big.fleet));
+          ("tenants", int big.n_tenants); ("seed", int big.seed) ];
+      in_default = false; collect = farm_big };
+  ]
+
+let doc f rows = { Bench_gate.bench = f.name; unit_ = f.unit_; rows }
+
+let run ~pool ~json f =
+  let rows = f.collect ~pool ~quiet:false in
+  if json then begin
+    let path = Bench_gate.file f.name in
+    Out_channel.with_open_bin path (fun oc ->
+        output_string oc
+          (Bench_gate.emit ~domains:(Pool.width pool) ~extras:f.extras
+             (doc f rows)));
+    Printf.printf "\nwrote %s (%d results, %s)\n" path (List.length rows) f.unit_
+  end
 
 (* ----- gate: the enforced perf contract ----- *)
 
-let read_file path =
-  try In_channel.with_open_bin path In_channel.input_all
-  with Sys_error e -> failwith e
-
-let load_baseline path =
-  match Cgra_prof.Bench_gate.parse (read_file path) with
-  | Ok doc -> doc
-  | Error e -> failwith (path ^ ": " ^ e)
-
 (* [check_only] compares each committed baseline against itself: it
-   proves the file parses, every row has a tolerance, and the
-   self-comparison passes — cheap enough for @smoke.  The full gate
-   re-measures and compares for real. *)
-let run_gate ~pool ~check_only ~micro_path ~fig9_path ~fig8_path ~farm_path
-    ~farm_big_path () =
+   proves the file parses, is filed under its family, every row has a
+   tolerance, and the self-comparison passes — cheap enough for @smoke.
+   The full gate re-measures and compares for real.  Every baseline is
+   loaded before anything is measured. *)
+let run_gate ~pool ~check_only families =
   section
     (if check_only then "Bench gate - baseline validation (tolerance check only)"
      else "Bench gate - fresh measurements vs. committed baselines");
-  let gate name baseline current =
-    let outcomes = Cgra_prof.Bench_gate.check ~baseline ~current in
-    Printf.printf "\n%s (%s):\n%s" name baseline.Cgra_prof.Bench_gate.unit_
-      (Cgra_prof.Bench_gate.render ~unit_:baseline.Cgra_prof.Bench_gate.unit_
-         outcomes);
-    Cgra_prof.Bench_gate.failures outcomes
+  let baselines =
+    List.map
+      (fun f ->
+        match Bench_gate.load ~bench:f.name (Bench_gate.file f.name) with
+        | Ok d -> d
+        | Error e -> failwith e)
+      families
   in
-  let micro_base = load_baseline micro_path in
-  let fig9_base = load_baseline fig9_path in
-  let fig8_base = load_baseline fig8_path in
-  let farm_base = load_baseline farm_path in
-  let farm_big_base = Option.map load_baseline farm_big_path in
-  let micro_cur, fig9_cur, fig8_cur, farm_cur, farm_big_cur =
-    if check_only then
-      (micro_base, fig9_base, fig8_base, farm_base, farm_big_base)
-    else begin
-      let micro_rows = micro_rows ~quiet:true () in
-      let micro_doc =
-        bench_doc ~bench:"micro" ~unit_:"ns_per_run" ~domains:1 ~extras:[]
-          micro_rows
-      in
-      let fig9_rows = fig9_rows ~pool ~replicates:3 ~quiet:true () in
-      let w = Cgra_util.Pool.width pool in
-      let fig9_doc =
-        bench_doc ~bench:"fig9" ~unit_:"wall_s" ~domains:w
-          ~extras:[ ("replicates", "3") ]
-          (fig9_with_total fig9_rows ~w)
-      in
-      let fig8_doc =
-        bench_doc ~bench:"fig8" ~unit_:"percent" ~domains:w ~extras:[]
-          (fig8_rows ~pool ~quiet:true ())
-      in
-      let farm_doc =
-        bench_doc ~bench:"farm" ~unit_:"req_per_kcycle|cycles" ~domains:w
-          ~extras:[] (farm_rows ~pool ~quiet:true ())
-      in
-      let farm_big_doc =
-        Option.map
-          (fun _ ->
-            bench_doc ~bench:"farm-big"
-              ~unit_:"req_per_kcycle|cycles|req_per_wall_s" ~domains:w
-              ~extras:[]
-              (farm_big_quality_rows ~pool ~quiet:true ()
-              @ farm_big_rate_rows ~quiet:true ()))
-          farm_big_base
-      in
-      ( Result.get_ok (Cgra_prof.Bench_gate.parse micro_doc),
-        Result.get_ok (Cgra_prof.Bench_gate.parse fig9_doc),
-        Result.get_ok (Cgra_prof.Bench_gate.parse fig8_doc),
-        Result.get_ok (Cgra_prof.Bench_gate.parse farm_doc),
-        Option.map
-          (fun d -> Result.get_ok (Cgra_prof.Bench_gate.parse d))
-          farm_big_doc )
-    end
-  in
-  let micro_failures = gate "micro" micro_base micro_cur in
-  let fig9_failures = gate "fig9" fig9_base fig9_cur in
-  let fig8_failures = gate "fig8" fig8_base fig8_cur in
-  let farm_failures = gate "farm" farm_base farm_cur in
-  let farm_big_failures =
-    match (farm_big_base, farm_big_cur) with
-    | Some base, Some cur -> gate "farm-big" base cur
-    | _ -> 0
+  let currents =
+    List.map2
+      (fun f baseline ->
+        if check_only then baseline else doc f (f.collect ~pool ~quiet:true))
+      families baselines
   in
   let failures =
-    micro_failures + fig9_failures + fig8_failures + farm_failures
-    + farm_big_failures
+    List.fold_left2
+      (fun acc (baseline : Bench_gate.doc) current ->
+        let outcomes = Bench_gate.check ~baseline ~current in
+        Printf.printf "\n%s (%s):\n%s" baseline.bench baseline.unit_
+          (Bench_gate.render ~unit_:baseline.unit_ outcomes);
+        acc + Bench_gate.failures outcomes)
+      0 baselines currents
   in
   if failures > 0 then begin
     Printf.printf "\nbench gate: %d row(s) FAILED\n" failures;
@@ -747,54 +629,36 @@ let run_ablation ~pool () =
 
 let () =
   let args = List.tl (Array.to_list Sys.argv) in
+  let opt_in f = "--" ^ f.name in
+  let flags =
+    "--json" :: "--check"
+    :: List.filter_map
+         (fun f -> if f.in_default then None else Some (opt_in f))
+         families
+  in
   let json = List.mem "--json" args in
   let check_only = List.mem "--check" args in
-  let rec opt_value key = function
-    | [] -> None
-    | k :: v :: _ when k = key -> Some v
-    | _ :: rest -> opt_value key rest
+  let defaults = List.filter (fun f -> f.in_default) families in
+  let gated =
+    List.filter (fun f -> f.in_default || List.mem (opt_in f) args) families
   in
-  let micro_path = Option.value ~default:"BENCH_micro.json" (opt_value "--micro" args) in
-  let fig9_path = Option.value ~default:"BENCH_fig9.json" (opt_value "--fig9" args) in
-  let fig8_path = Option.value ~default:"BENCH_fig8.json" (opt_value "--fig8" args) in
-  let farm_path = Option.value ~default:"BENCH_farm.json" (opt_value "--farm" args) in
-  (* --farm-big opts the at-scale baseline into the gate (it re-measures
-     a 10^4-request fleet seven ways, so it is not in the default set) *)
-  let farm_big_path =
-    if List.mem "--farm-big" args then Some "BENCH_farm_big.json" else None
-  in
-  let rec drop_opts = function
-    | [] -> []
-    | ("--micro" | "--fig9" | "--fig8" | "--farm") :: _ :: rest -> drop_opts rest
-    | ("--json" | "--check" | "--farm-big") :: rest -> drop_opts rest
-    | a :: rest -> a :: drop_opts rest
-  in
-  let mode = match drop_opts args with [] -> "all" | m :: _ -> m in
-  Cgra_util.Pool.with_pool (fun pool ->
-      if Cgra_util.Pool.width pool > 1 then
-        Printf.printf "(parallel sections across %d domains)\n"
-          (Cgra_util.Pool.width pool);
-      match mode with
-      | "fig8" -> run_fig8 ~pool ~json ()
-      | "fig9" -> run_fig9 ~pool ~replicates:3 ~json ()
-      | "micro" -> run_micro ~json ()
-      | "farm" -> run_farm ~pool ~json ()
-      | "farm-big" -> run_farm_big ~pool ~json ()
-      | "ablation" -> run_ablation ~pool ()
-      | "gate" ->
-          run_gate ~pool ~check_only ~micro_path ~fig9_path ~fig8_path
-            ~farm_path ~farm_big_path ()
-      | "all" ->
-          run_fig8 ~pool ~json ();
-          run_fig9 ~pool ~replicates:3 ~json ();
-          run_farm ~pool ~json ();
-          run_ablation ~pool ();
-          run_micro ~json ()
-      | other ->
+  let positional = List.filter (fun a -> not (List.mem a flags)) args in
+  let mode = match positional with [] -> "all" | [ m ] -> m | _ -> "" in
+  Pool.with_pool (fun pool ->
+      if Pool.width pool > 1 then
+        Printf.printf "(parallel sections across %d domains)\n" (Pool.width pool);
+      match (mode, List.find_opt (fun f -> f.name = mode) families) with
+      | _, Some f -> run ~pool ~json f
+      | "ablation", None -> run_ablation ~pool ()
+      | "gate", None -> run_gate ~pool ~check_only gated
+      | "all", None ->
+          List.iter (run ~pool ~json) defaults;
+          run_ablation ~pool ()
+      | _, None ->
           Printf.eprintf
-            "unknown mode %s (expected fig8 | fig9 | farm | farm-big | \
-             ablation | micro | gate | all; flags: --json, --check, \
-             --farm-big, --micro PATH, --fig9 PATH, --fig8 PATH, --farm \
-             PATH)\n"
-            other;
+            "bad arguments: %s (expected one mode of %s | ablation | gate | \
+             all, and flags from %s)\n"
+            (String.concat " " positional)
+            (String.concat " | " (List.map (fun f -> f.name) families))
+            (String.concat ", " flags);
           exit 1)

@@ -48,7 +48,7 @@ val map :
     the attempts on IIs that fail entirely.
 
     [pool] races the (II, attempt) ladder speculatively across the
-    domain pool (see {!Cgra_util.Pool.race}): the winner is always the
+    domain pool (see {!Cgra_util.Pool.race_poll}): the winner is always the
     {e lowest} [(ii, attempt)] pair that succeeds, and a success at II
     [k] abandons in-flight work at II [> k].  The returned mapping — and
     the [Error] text on failure — is bit-identical to the sequential

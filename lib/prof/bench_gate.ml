@@ -56,6 +56,44 @@ let parse s =
   | Some _ -> Error "field \"results\" is not an array"
   | None -> Error "missing field \"results\""
 
+let emit ~domains ~extras doc =
+  let str s = Json.to_string (Json.Str s) in
+  let row r =
+    if not (Float.is_finite r.value && Float.is_finite r.spread) then
+      invalid_arg ("Bench_gate.emit: non-finite row " ^ r.name);
+    Printf.sprintf
+      "    { \"name\": %s, \"value\": %.3f, \"domains\": %d, \"runs\": %d, \
+       \"spread\": %.1f }"
+      (str r.name) r.value r.domains r.runs r.spread
+  in
+  let b = Buffer.create 1024 in
+  Printf.bprintf b "{\n  \"bench\": %s,\n  \"domains\": %d,\n" (str doc.bench)
+    domains;
+  List.iter
+    (fun (k, v) -> Printf.bprintf b "  %s: %s,\n" (str k) (Json.to_string v))
+    extras;
+  Printf.bprintf b "  \"unit\": %s,\n  \"results\": [\n" (str doc.unit_);
+  let n = List.length doc.rows in
+  List.iteri
+    (fun i r -> Printf.bprintf b "%s%s\n" (row r) (if i = n - 1 then "" else ","))
+    doc.rows;
+  Buffer.add_string b "  ]\n}\n";
+  Buffer.contents b
+
+let file bench =
+  "BENCH_" ^ String.map (function '-' -> '_' | c -> c) bench ^ ".json"
+
+let load ~bench path =
+  let* text =
+    try Ok (In_channel.with_open_bin path In_channel.input_all)
+    with Sys_error e -> Error e
+  in
+  let* doc = Result.map_error (fun e -> path ^ ": " ^ e) (parse text) in
+  if doc.bench = bench then Ok doc
+  else
+    Error
+      (Printf.sprintf "%s: holds bench %S, expected %S" path doc.bench bench)
+
 let has_prefix p name =
   String.length name >= String.length p
   && String.sub name 0 (String.length p) = p
@@ -114,6 +152,7 @@ type outcome = {
 }
 
 let check ~baseline ~current =
+  let same_bench = baseline.bench = current.bench in
   List.map
     (fun b ->
       let tol = tolerance b.name in
@@ -121,20 +160,17 @@ let check ~baseline ~current =
       | None -> { o_name = b.name; baseline = b.value; current = None; tol;
                   ok = false }
       | Some c ->
-          if scaling b.name then
-            { o_name = b.name; baseline = b.value; current = Some c.value; tol;
-              ok = c.value <= tol }
-          else
-            let ok =
-              if sim_rate b.name then c.value >= b.value /. tol
-              else if higher_is_better b.name then
-                c.value >= b.value -. epsilon b.name
-              else if deterministic b.name then
-                c.value <= b.value +. epsilon b.name
-              else c.value <= b.value *. tol
-            in
-            { o_name = b.name; baseline = b.value; current = Some c.value; tol;
-              ok })
+          let ok =
+            if scaling b.name then c.value <= tol
+            else if sim_rate b.name then c.value >= b.value /. tol
+            else if higher_is_better b.name then
+              c.value >= b.value -. epsilon b.name
+            else if deterministic b.name then
+              c.value <= b.value +. epsilon b.name
+            else c.value <= b.value *. tol
+          in
+          { o_name = b.name; baseline = b.value; current = Some c.value; tol;
+            ok = same_bench && ok })
     baseline.rows
 
 let failures outcomes =

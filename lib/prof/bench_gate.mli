@@ -1,7 +1,8 @@
-(** The repo's first enforced perf contract: compare freshly measured
-    bench rows against the committed [BENCH_micro.json] /
-    [BENCH_fig9.json] baselines, with per-row tolerances, and fail
-    loudly on regressions.
+(** The repo's enforced perf contract: compare freshly measured bench
+    rows against the committed [BENCH_*.json] baselines, with per-row
+    tolerances, and fail loudly on regressions.  This module owns the
+    baseline file format: its writer ({!emit}), reader ({!parse},
+    {!load}) and file names ({!file}).
 
     The comparator lives in the library (not the bench binary) so the
     test-suite can prove both directions: the committed baselines pass
@@ -20,6 +21,23 @@ type doc = { bench : string; unit_ : string; rows : row list }
 val parse : string -> (doc, string) result
 (** Parse a BENCH_*.json document.  [runs]/[spread] default to 1/0 for
     rows written by older harnesses, [domains] to the document level. *)
+
+val emit : domains:int -> extras:(string * Cgra_trace.Json.value) list -> doc -> string
+(** The BENCH_*.json text of [doc], which {!parse} reads back to the
+    same [bench], [unit_] and rows (values at [%.3f], spreads at
+    [%.1f]).  [domains] is the document-level pool width and [extras]
+    are run parameters recorded between it and ["unit"].  One row per
+    line.  Raises [Invalid_argument] on a non-finite value or spread,
+    which JSON cannot carry. *)
+
+val file : string -> string
+(** The committed baseline of a bench family: ["farm-big"] is
+    ["BENCH_farm_big.json"]. *)
+
+val load : bench:string -> string -> (doc, string) result
+(** Read and {!parse} the file at a path, rejecting a document whose
+    ["bench"] field is not [bench] (a baseline filed under the wrong
+    family). *)
 
 val tolerance : string -> float
 (** Allowed slowdown factor for the named row.  Warm-start rows measure
@@ -75,7 +93,8 @@ type outcome = {
 val check : baseline:doc -> current:doc -> outcome list
 (** One outcome per baseline row, in baseline order.  Missing rows and
     beyond-tolerance regressions are [not ok]; faster-than-baseline is
-    always ok (improvements never fail the gate). *)
+    always ok (improvements never fail the gate).  Every row is [not ok]
+    when the two documents are of different bench families. *)
 
 val failures : outcome list -> int
 

@@ -134,9 +134,10 @@ let run_batch t n ~body =
     Mutex.unlock fin_lock
   end
 
-let map_array t f xs =
+let map t f xs =
+  let xs = Array.of_list xs in
   let n = Array.length xs in
-  if t.pool_width <= 1 || n <= 1 then Array.map f xs
+  if t.pool_width <= 1 || n <= 1 then Array.to_list (Array.map f xs)
   else begin
     let out = Array.make n None in
     let errs = Array.make n None in
@@ -149,10 +150,8 @@ let map_array t f xs =
       (function
         | Some (e, bt) -> Printexc.raise_with_backtrace e bt | None -> ())
       errs;
-    Array.map (function Some y -> y | None -> assert false) out
+    List.init n (fun i -> Option.get out.(i))
   end
-
-let map t f xs = Array.to_list (map_array t f (Array.of_list xs))
 
 (* Speculative race: evaluate candidates until the lowest-indexed success
    is known.  [best] holds the lowest succeeding index found so far; a
@@ -207,11 +206,4 @@ let race_poll t f xs =
       in
       resolve 0
 
-let race t f xs = race_poll t (fun ~doomed:_ x -> f x) xs
-
 let filter_map t f xs = List.filter_map Fun.id (map t f xs)
-
-let parallel_map ?domains f xs = with_pool ?domains (fun t -> map t f xs)
-
-let parallel_filter_map ?domains f xs =
-  with_pool ?domains (fun t -> filter_map t f xs)

@@ -523,6 +523,66 @@ let test_gate_farm_scaling () =
        (Bench_gate.render ~unit_:"mixed"
           (Bench_gate.check ~baseline:(doc 1.7) ~current:(doc 2.6))))
 
+let test_gate_emit_round_trip () =
+  (* the writer's output parses back to the same doc: strings escaped
+     (quote, backslash, tab), values at %.3f, one row per line *)
+  let row name value spread : Bench_gate.row =
+    { name; value; domains = 2; runs = 5; spread }
+  in
+  let doc : Bench_gate.doc =
+    {
+      bench = "farm-big";
+      unit_ = "req/s \"wall\"";
+      rows =
+        [ row "odd \"name\" with \\ and \t tab" 12.345 2.5;
+          row "plain" 7.0 0.0 ];
+    }
+  in
+  let text =
+    Bench_gate.emit ~domains:1 ~extras:[ ("seed", Json.num_of_int 7) ] doc
+  in
+  Alcotest.(check bool) "no raw tab byte" false (String.contains text '\t');
+  Alcotest.(check bool) "values at %.3f" true (contains ~sub:"\"value\": 7.000," text);
+  Alcotest.(check bool) "extras recorded" true (contains ~sub:"\"seed\": 7," text);
+  Alcotest.(check int) "one line per row" 2
+    (List.length
+       (List.filter
+          (fun l -> contains ~sub:"\"name\"" l && contains ~sub:"\"spread\"" l)
+          (String.split_on_char '\n' text)));
+  let back = doc_of_string text in
+  Alcotest.(check string) "bench" doc.bench back.bench;
+  Alcotest.(check string) "unit" doc.unit_ back.unit_;
+  Alcotest.(check bool) "rows" true (doc.rows = back.rows);
+  Alcotest.check_raises "non-finite value"
+    (Invalid_argument "Bench_gate.emit: non-finite row plain") (fun () ->
+      ignore
+        (Bench_gate.emit ~domains:1 ~extras:[]
+           { doc with rows = [ row "plain" Float.nan 0.0 ] }))
+
+let test_gate_wrong_family () =
+  (* a baseline filed under another family never passes: the rows fail
+     even when their names and values match, and the loader refuses it *)
+  let micro = doc_of_string baseline_json in
+  let fig9 = { micro with bench = "fig9" } in
+  Alcotest.(check int) "every row fails" (List.length micro.rows)
+    (Bench_gate.failures (Bench_gate.check ~baseline:micro ~current:fig9));
+  Alcotest.(check string) "file name" "BENCH_farm_big.json"
+    (Bench_gate.file "farm-big");
+  let path = Filename.temp_file "bench-gate" ".json" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove path)
+    (fun () ->
+      Out_channel.with_open_bin path (fun oc ->
+          output_string oc baseline_json);
+      (match Bench_gate.load ~bench:"micro" path with
+      | Ok d -> Alcotest.(check int) "right family loads" 3 (List.length d.rows)
+      | Error e -> Alcotest.failf "load: %s" e);
+      match Bench_gate.load ~bench:"fig9" path with
+      | Ok _ -> Alcotest.fail "a micro file loaded as fig9"
+      | Error e ->
+          Alcotest.(check bool) "error names the family" true
+            (contains ~sub:"\"micro\"" e))
+
 let test_gate_parses_old_format () =
   (* rows written before min-of-N: no runs/spread/per-row domains *)
   let d =
@@ -592,5 +652,9 @@ let () =
             test_gate_farm_scaling;
           Alcotest.test_case "old baseline format" `Quick
             test_gate_parses_old_format;
+          Alcotest.test_case "writer round-trip" `Quick
+            test_gate_emit_round_trip;
+          Alcotest.test_case "wrong family rejected" `Quick
+            test_gate_wrong_family;
         ] );
     ]

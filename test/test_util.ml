@@ -195,7 +195,7 @@ let test_pool_order_preserved () =
   let f x = (x * x) + 7 in
   Alcotest.(check (list int))
     "parallel = sequential, in order" (List.map f xs)
-    (Pool.parallel_map ~domains:4 f xs)
+    (Pool.with_pool ~domains:4 (fun p -> Pool.map p f xs))
 
 let test_pool_domains1_is_sequential () =
   let xs = List.init 50 Fun.id in
@@ -204,7 +204,7 @@ let test_pool_domains1_is_sequential () =
     calls := x :: !calls;
     x * 2
   in
-  let out = Pool.parallel_map ~domains:1 f xs in
+  let out = Pool.with_pool ~domains:1 (fun p -> Pool.map p f xs) in
   Alcotest.(check (list int)) "results" (List.map (fun x -> x * 2) xs) out;
   Alcotest.(check (list int)) "called in input order, on this domain" xs
     (List.rev !calls)
@@ -213,7 +213,9 @@ let test_pool_exception_propagates () =
   let f x = if x >= 50 then failwith (string_of_int x) else x in
   List.iter
     (fun domains ->
-      match Pool.parallel_map ~domains f (List.init 100 Fun.id) with
+      match
+        Pool.with_pool ~domains (fun p -> Pool.map p f (List.init 100 Fun.id))
+      with
       | _ -> Alcotest.failf "no exception at %d domains" domains
       | exception Failure msg ->
           Alcotest.(check string)
@@ -226,7 +228,7 @@ let test_pool_filter_map () =
   let f x = if x mod 3 = 0 then Some (x * 10) else None in
   Alcotest.(check (list int))
     "survivors keep input order" (List.filter_map f xs)
-    (Pool.parallel_filter_map ~domains:4 f xs)
+    (Pool.with_pool ~domains:4 (fun p -> Pool.filter_map p f xs))
 
 let test_pool_reusable () =
   Pool.with_pool ~domains:3 (fun p ->
@@ -257,6 +259,9 @@ let test_pool_shutdown_idempotent () =
 let test_pool_env_default () =
   Alcotest.(check bool) "width >= 1" true (Pool.domains_from_env () >= 1)
 
+(* [race_poll] with a candidate function that never polls [doomed] *)
+let race p f xs = Pool.race_poll p (fun ~doomed:_ x -> f x) xs
+
 (* burn deterministic CPU so slow/fast candidate orderings are real *)
 let spin n =
   let acc = ref 0 in
@@ -277,7 +282,7 @@ let test_race_deterministic_winner () =
   List.iter
     (fun domains ->
       Pool.with_pool ~domains (fun p ->
-          match Pool.race p f xs with
+          match race p f xs with
           | Some (3, 300) -> ()
           | Some (x, y) ->
               Alcotest.failf "winner (%d, %d) at %d domains, wanted (3, 300)" x y
@@ -295,7 +300,7 @@ let test_race_cancellation_skips () =
     if x = 0 then Some () else (spin 5; None)
   in
   Pool.with_pool ~domains:4 (fun p ->
-      match Pool.race p f (List.init n Fun.id) with
+      match race p f (List.init n Fun.id) with
       | Some (0, ()) ->
           let e = Atomic.get evaluated in
           Alcotest.(check bool)
@@ -336,7 +341,7 @@ let test_race_exception_semantics () =
           (* failure before any success: the earliest failure propagates,
              as in Pool.map *)
           (match
-             Pool.race p (fun x -> if x = 10 then failwith "boom" else None) xs
+             race p (fun x -> if x = 10 then failwith "boom" else None) xs
            with
           | _ -> Alcotest.failf "no exception at %d domains" domains
           | exception Failure msg ->
@@ -346,7 +351,7 @@ let test_race_exception_semantics () =
           (* success before the failure: the winner is returned and the
              speculative failure is discarded *)
           match
-            Pool.race p
+            race p
               (fun x ->
                 if x = 50 then failwith "late"
                 else if x = 10 then Some x
@@ -368,7 +373,7 @@ let test_race_width1_lazy () =
     if x = 5 then Some x else None
   in
   Pool.with_pool ~domains:1 (fun p ->
-      match Pool.race p f (List.init 100 Fun.id) with
+      match race p f (List.init 100 Fun.id) with
       | Some (5, 5) -> check_int "nothing past the winner runs" 6 !evaluated
       | _ -> Alcotest.fail "wrong outcome")
 
@@ -378,10 +383,10 @@ let test_race_no_winner () =
       Pool.with_pool ~domains (fun p ->
           Alcotest.(check bool)
             "all-fail race is None" true
-            (Pool.race p (fun _ -> None) (List.init 40 Fun.id) = None);
+            (race p (fun _ -> None) (List.init 40 Fun.id) = None);
           Alcotest.(check bool)
             "empty race is None" true
-            (Pool.race p (fun x -> Some x) [] = None)))
+            (race p (fun x -> Some x) [] = None)))
     [ 1; 4 ]
 
 (* ---------- Table ---------- *)
