@@ -1,4 +1,4 @@
-.PHONY: all test fmt smoke ci clean bench-json bench-gate fig8 farm farm-big profile fuzz-deep cache-clean
+.PHONY: all test fmt smoke ci clean bench-json bench-gate fig8 farm farm-big profile fuzz-deep cache-clean ab
 
 # Default on-disk binary store used by `cgra_tool compile/cache --cache`
 # unless a different directory is passed.
@@ -72,6 +72,17 @@ farm-big:
 bench-gate:
 	dune build bench/main.exe
 	dune exec bench/main.exe -- gate --farm-big
+
+# Same-host A/B of the repository benchmark: check REV out into a
+# worktree under _build/ab/, alternate `perfbench/run.py --trace 0`
+# between REV and the working tree N times, and print per-metric medians
+# and quartiles.  `make ab REV=HEAD~1 WORKLOAD=paper-eval N=10 SEED=7`.
+REV ?= HEAD
+WORKLOAD ?= paper-eval
+N ?= 10
+SEED ?= 0
+ab:
+	python3 bench/ab.py --rev $(REV) --workload $(WORKLOAD) -n $(N) --seed $(SEED)
 
 # A profiled 16-thread Multi-mode run on the default 4x4: occupancy heatmap,
 # row-bus contention, stall attribution, reshape accounting, latency

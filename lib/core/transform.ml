@@ -83,6 +83,12 @@ let fold ?(base_page = 0) ~target_pages (src : Mapping.t) =
               paged = false;
             }
           in
+          (* An embedding keeps every read in reach, but stretching
+             lifetimes by [s] can still overflow a register file: the
+             fold is PE-exact only when the result re-validates. *)
+          let pe_exact =
+            pe_exact && Result.is_ok (Mapping.validate ~check_mem:false mapping)
+          in
           Ok { mapping; source = src; n_used; m_eff; s; base_page; orientations; pe_exact }
         end
       end

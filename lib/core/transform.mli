@@ -9,13 +9,15 @@
     new initiation interval is [II_q = II_p * s] — which meets the
     paper's optimality bound (using [1/s] of the fabric costs exactly a
     factor [s]).  Every operation's intra-page position is preserved up
-    to a mirroring chosen by {!Mirror.solve}; when an exact PE-level
-    embedding exists (always for [M = 1] and for square tiles) the result
-    re-validates under [Mapping.validate].
+    to a mirroring chosen by {!Mirror.solve}.  The fold is PE-exact when
+    such an embedding exists (one always does for [M = 1] and for square
+    tiles) {e and} the result re-validates under
+    [Mapping.validate ~check_mem:false]: stretching lifetimes by [s] can
+    overflow a register file even when every read stays in reach.
 
     The transformation visits each operation and routing hop exactly
     once: O(ops + hops + pages * steps) — the low-order-polynomial claim,
-    substantiated by the bechamel benchmarks. *)
+    substantiated by the min-of-N micro benchmarks. *)
 
 type shrunk = {
   mapping : Cgra_mapper.Mapping.t;
@@ -29,7 +31,8 @@ type shrunk = {
   base_page : int;
   orientations : Cgra_arch.Orient.t array;  (** per source page *)
   pe_exact : bool;
-      (** whether an exact PE-level embedding was found; when false the
+      (** whether an exact PE-level embedding was found and the result
+          re-validates (memory ports aside); when false the
           mapping's PE coordinates are positional only (page-level
           semantics) and must not be fed to the cycle-accurate simulator *)
 }

@@ -45,14 +45,12 @@ module Prep = struct
         (* memory ordering constraints: timing-only edges *)
     order : int list;  (* node placement order (rank, height, asap, id) *)
     all_pes : Coord.t array;  (* row-major *)
-    nbrs_self : Coord.t list array;
-        (* pe index -> mesh neighbours (N/E/S/W) followed by the PE
-           itself: the exact expansion list the router uses *)
     page_idx : int array;  (* pe index -> page, or -1 when unpaged *)
+    fabric : Router.fabric;
+        (* the router's index tables, with this kind's reach relation *)
     boundary : bool array;
         (* pe index -> boundary-adjacent to the next page (ops with
            unplaced consumers prefer these under the spread personality) *)
-    is_band : bool;  (* band-shaped pages: serpentine adjacency applies *)
     mem_ports : int;
     port_budget : int array;
         (* row -> memory-port budget: the per-(row, slot) allowance the
@@ -66,13 +64,35 @@ module Prep = struct
     let pages = arch.Cgra.pages in
     let n = Grid.pe_count grid in
     let all_pes = Array.of_list (Grid.all_pes grid) in
-    let nbrs_self =
-      Array.map (fun pe -> Grid.neighbors grid pe @ [ pe ]) all_pes
-    in
     let page_idx =
       Array.map
         (fun pe -> Option.value ~default:(-1) (Page.page_of_pe pages pe))
         all_pes
+    in
+    let is_band = not (Page.is_rect pages) in
+    (* Reach relations.  Band pages under paging constraints keep
+       same-page reads path-consecutive, so page reversal stays legal,
+       and cross a boundary only between serpentine neighbours. *)
+    let serp_adjacent a b =
+      abs (Grid.serp_index grid a - Grid.serp_index grid b) = 1
+    in
+    let same_page a b =
+      Coord.equal a b || (Coord.adjacent a b && ((not is_band) || serp_adjacent a b))
+    in
+    let cross_page a b = Coord.adjacent a b && ((not is_band) || serp_adjacent a b) in
+    let reach =
+      match kind with
+      | Unconstrained -> fun a b -> Coord.equal a b || Coord.adjacent a b
+      | Paged ->
+          (* Values may relay forward through intermediate pages; each
+             step stays in its page or crosses one boundary. *)
+          fun a b ->
+            let pa = page_idx.(Grid.index grid a)
+            and pb = page_idx.(Grid.index grid b) in
+            if pa < 0 || pb < 0 then false
+            else if pb = pa then same_page a b
+            else if pb = pa + 1 then cross_page a b
+            else false
     in
     let boundary = Array.make n false in
     for p = 0 to Page.n_pages pages - 2 do
@@ -103,10 +123,9 @@ module Prep = struct
       ordering = Memdep.ordering graph;
       order;
       all_pes;
-      nbrs_self;
       page_idx;
+      fabric = Router.fabric grid ~pes:all_pes ~page:page_idx ~reach;
       boundary;
-      is_band = not (Page.is_rect pages);
       mem_ports = arch.Cgra.mem_ports_per_row;
       port_budget = Array.make grid.Grid.rows arch.Cgra.mem_ports_per_row;
     }
@@ -144,14 +163,42 @@ module Attempt = struct
            much of the row is left to host its remaining port budget *)
     overlay : int array;  (* generation stamps, pe_index * ii + slot *)
     mutable overlay_gen : int;
+    router : Router.workspace;  (* reads [occupied] and [overlay] *)
     mutable routes : Mapping.route list;
     mutable max_page_used : int;  (* -1 when none *)
     mutable spills_left : int;
   }
 
+  (* ----- bandwidth pricing ------------------------------------------- *)
+
+  (* Occupying slot [time] of a PE in [row] "strands" row-bus budget when
+     the row still has unspent memory ports at that slot but is running
+     out of free PEs to issue them from: each such placement makes the
+     residual bandwidth harder to spend later.  Only the bandwidth-aware
+     personality pays this price. *)
+  let strand prep ~ii ~mem_use ~row_occ row time =
+    let k = (row * ii) + (time mod ii) in
+    let slack = prep.Prep.port_budget.(row) - mem_use.(k) in
+    if slack > 0 && prep.Prep.arch.Cgra.grid.Grid.cols - row_occ.(k) <= slack
+    then 1
+    else 0
+
   let create ?(spread = false) ?(bus = false) ?(cancel = fun () -> false)
       ~debug prep ii rng =
     let n_pes = Array.length prep.Prep.all_pes in
+    let grid = prep.Prep.arch.Cgra.grid in
+    let occupied = Bytes.make (n_pes * ii) '\000' in
+    let mem_use = Array.make (grid.Grid.rows * ii) 0 in
+    let row_occ = Array.make (grid.Grid.rows * ii) 0 in
+    let overlay = Array.make (n_pes * ii) 0 in
+    (* Bus-aware routing: among equally short chains, prefer hops that do
+       not strand port budget.  Legacy attempts price nothing and keep
+       the original (hops, time) search exactly. *)
+    let hop_cost =
+      if bus then
+        Some (fun pe time -> strand prep ~ii ~mem_use ~row_occ (pe / grid.Grid.cols) time)
+      else None
+    in
     {
       prep;
       ii;
@@ -161,11 +208,12 @@ module Attempt = struct
       cancel;
       debug;
       placements = Array.make (Graph.n_nodes prep.Prep.graph) None;
-      occupied = Bytes.make (n_pes * ii) '\000';
-      mem_use = Array.make (prep.Prep.arch.Cgra.grid.Grid.rows * ii) 0;
-      row_occ = Array.make (prep.Prep.arch.Cgra.grid.Grid.rows * ii) 0;
-      overlay = Array.make (n_pes * ii) 0;
+      occupied;
+      mem_use;
+      row_occ;
+      overlay;
       overlay_gen = 0;
+      router = Router.workspace prep.Prep.fabric ~ii ~occupied ~overlay ?hop_cost ();
       routes = [];
       max_page_used = -1;
       spills_left = (if bus then 8 else 0);
@@ -194,112 +242,58 @@ module Attempt = struct
 
   let page_of_idx t pe = t.prep.Prep.page_idx.(Grid.index (grid t) pe)
 
-  (* ----- bandwidth pricing ------------------------------------------- *)
-
-  (* Occupying (pe, time) "strands" row-bus budget when the row still has
-     unspent memory ports at that slot but is running out of free PEs to
-     issue them from: each such placement makes the residual bandwidth
-     harder to spend later.  Only the bandwidth-aware personality pays
-     this price. *)
-  let port_strand t pe time =
-    let k = mem_key t pe time in
-    let slack = t.prep.Prep.port_budget.(pe.Coord.row) - t.mem_use.(k) in
-    if slack > 0 && (grid t).Grid.cols - t.row_occ.(k) <= slack then 1 else 0
-
-  (* Reach relation for reads: same PE or mesh neighbour; for band pages
-     under paging constraints, same-page reads must additionally be
-     path-consecutive so that page reversal stays legal. *)
-  let read_adjacent t ~same_page a b =
-    Coord.equal a b
-    || Coord.adjacent a b
-       &&
-       if same_page && kind t = Paged && t.prep.Prep.is_band then
-         abs (Grid.serp_index (grid t) a - Grid.serp_index (grid t) b) = 1
-       else true
-
-  (* Adjacency for the boundary crossing of a cross-page read. *)
-  let cross_adjacent t a b =
-    Coord.adjacent a b
-    && ((not t.prep.Prep.is_band)
-       || abs (Grid.serp_index (grid t) a - Grid.serp_index (grid t) b) = 1)
+  let port_strand t (pe : Coord.t) time =
+    strand t.prep ~ii:t.ii ~mem_use:t.mem_use ~row_occ:t.row_occ pe.row time
 
   (* Feasibility of one edge given both endpoints, with an overlay of
      tentatively routed hops.  [producer]/[consumer] are the edge's
      endpoint placements; returns the hops needed (possibly []). *)
   let edge_feasible t (e : Graph.edge) ~(producer : Mapping.placement)
       ~(consumer : Mapping.placement) =
-    let read_time = consumer.time + (e.distance * t.ii) in
+    let deadline = consumer.time + (e.distance * t.ii) in
     let gen = t.overlay_gen in
-    let free pe time =
-      let k = occ_key t pe time in
-      Bytes.get t.occupied k = '\000' && t.overlay.(k) <> gen
-    in
-    let neighbors pe = t.prep.Prep.nbrs_self.(Grid.index (grid t) pe) in
-    (* Bus-aware routing: among equally short chains, prefer hops that do
-       not strand port budget.  Legacy attempts pass no cost and keep the
-       original (hops, time) search exactly. *)
-    let hop_cost = if t.bus then Some (port_strand t) else None in
     match kind t with
     | Unconstrained ->
-        Router.find ~grid:(grid t) ~ii:t.ii ~free ~allowed:(fun _ -> true)
-          ~read_adjacent:(read_adjacent t ~same_page:false)
-          ~neighbors ?hop_cost ~src:producer ~dst_pe:consumer.pe
-          ~deadline:read_time ~max_hops:8 ()
-    | Paged -> (
-        match (page_of_idx t producer.pe, page_of_idx t consumer.pe) with
-        | pu, pv when pu >= 0 && pv >= pu ->
-            (* Values may relay forward through intermediate pages; each
-               step stays in its page or crosses one boundary. *)
-            let allowed pe =
-              let p = page_of_idx t pe in
-              p >= pu && p <= pv
-            in
-            let step a b =
-              let pa = page_of_idx t a and pb = page_of_idx t b in
-              if pa < 0 || pb < 0 then false
-              else if pb = pa then read_adjacent t ~same_page:true a b
-              else if pb = pa + 1 then cross_adjacent t a b
-              else false
-            in
-            Router.find ~grid:(grid t) ~ii:t.ii ~free ~allowed ~read_adjacent:step
-              ~neighbors ?hop_cost ~src:producer ~dst_pe:consumer.pe
-              ~deadline:read_time
-              ~max_hops:(2 * (pv - pu + 4))
-              ()
-        | _, _ -> None)
+        Router.route t.router ~gen ~lo_page:min_int ~hi_page:max_int ~src:producer
+          ~dst_pe:consumer.pe ~deadline ~max_hops:8
+    | Paged ->
+        let pu = page_of_idx t producer.pe and pv = page_of_idx t consumer.pe in
+        if pu >= 0 && pv >= pu then
+          Router.route t.router ~gen ~lo_page:pu ~hi_page:pv ~src:producer
+            ~dst_pe:consumer.pe ~deadline
+            ~max_hops:(2 * (pv - pu + 4))
+        else None
+
+  let rec add_overlay t gen = function
+    | [] -> ()
+    | (h : Mapping.placement) :: rest ->
+        t.overlay.(occ_key t h.pe h.time) <- gen;
+        add_overlay t gen rest
+
+  (* Route [cand]'s already placed succs ([as_producer]) or preds, adding
+     each found chain to the overlay so later edges route around it. *)
+  let rec route_edges t ~as_producer cand acc = function
+    | [] -> Some acc
+    | (e, (other : Mapping.placement)) :: rest -> (
+        let found =
+          if as_producer then edge_feasible t e ~producer:cand ~consumer:other
+          else edge_feasible t e ~producer:other ~consumer:cand
+        in
+        match found with
+        | None -> None
+        | Some [] -> route_edges t ~as_producer cand acc rest
+        | Some hops ->
+            add_overlay t t.overlay_gen hops;
+            route_edges t ~as_producer cand ({ Mapping.edge = e; hops } :: acc) rest)
 
   (* All edges of candidate [v] at [cand] whose other endpoint is already
      placed — [preds]/[succs] are precomputed once per node in
      [place_node].  Returns the routes to commit, or None if infeasible. *)
   let edges_feasible t ~preds ~succs (cand : Mapping.placement) =
     t.overlay_gen <- t.overlay_gen + 1;
-    let gen = t.overlay_gen in
-    let add_overlay hops =
-      List.iter
-        (fun (h : Mapping.placement) -> t.overlay.(occ_key t h.pe h.time) <- gen)
-        hops
-    in
-    let rec go_succs acc = function
-      | [] -> Some acc
-      | (e, pw) :: rest -> (
-          match edge_feasible t e ~producer:cand ~consumer:pw with
-          | None -> None
-          | Some [] -> go_succs acc rest
-          | Some hops ->
-              add_overlay hops;
-              go_succs ({ Mapping.edge = e; hops } :: acc) rest)
-    in
-    let rec go_preds acc = function
-      | [] -> go_succs acc succs
-      | (e, pu) :: rest -> (
-          match edge_feasible t e ~producer:pu ~consumer:cand with
-          | None -> None
-          | Some [] -> go_preds acc rest
-          | Some hops ->
-              add_overlay hops;
-              go_preds ({ Mapping.edge = e; hops } :: acc) rest)
-    in
-    go_preds [] preds
+    match route_edges t ~as_producer:false cand [] preds with
+    | None -> None
+    | Some acc -> route_edges t ~as_producer:true cand acc succs
 
   let mem_ok t ~v_is_mem pe time =
     (not v_is_mem) || t.mem_use.(mem_key t pe time) < t.prep.Prep.mem_ports
@@ -387,6 +381,16 @@ module Attempt = struct
         let pg = max 0 (page_of_idx t cand.pe) in
         let fresh = if pg > t.max_page_used then 1 else 0 in
         (fresh, pg, hops, bus, Cgra_util.Rng.int t.rng 1024)
+
+  (* Lexicographic order on cost tuples; the earliest candidate wins
+     ties. *)
+  let cost_lt ((a1, a2, a3, a4, a5) : int * int * int * int * int)
+      (b1, b2, b3, b4, b5) =
+    if a1 <> b1 then a1 < b1
+    else if a2 <> b2 then a2 < b2
+    else if a3 <> b3 then a3 < b3
+    else if a4 <> b4 then a4 < b4
+    else a5 < b5
 
   let commit t v (cand : Mapping.placement) routes =
     t.placements.(v) <- Some cand;
@@ -539,14 +543,14 @@ module Attempt = struct
           let best = ref None in
           Array.iter
             (fun pe ->
-              let cand = { Mapping.pe; time } in
               if base_free t pe time && mem_ok t ~v_is_mem pe time then
+                let cand = { Mapping.pe; time } in
                 match edges_feasible t ~preds ~succs cand with
                 | None -> ()
-                | Some routes ->
+                | Some routes -> (
                     let c = cost t v ~v_is_mem cand routes in
-                    (match !best with
-                    | Some (c0, _, _) when c0 <= c -> ()
+                    match !best with
+                    | Some (c0, _, _) when not (cost_lt c c0) -> ()
                     | Some _ | None -> best := Some (c, cand, routes)))
             pes;
           match !best with
@@ -696,6 +700,8 @@ let map ?(seed = 0) ?max_ii ?(attempts = 64) ?(bus_aware = true) ?pool
   let prep = Prep.make kind arch g in
   let launched = Atomic.make 0 in
   let polish_runs = Atomic.make 0 in
+  let route_searches = Atomic.make 0 in
+  let route_expansions = Atomic.make 0 in
   (* With [bus_aware] each II gets two attempt families: indices
      [0, bus_n) run the bandwidth-aware cost (bus-pressure pricing,
      cost-guided routing, spill repair, a second window period), and
@@ -714,7 +720,11 @@ let map ?(seed = 0) ?max_ii ?(attempts = 64) ?(bus_aware = true) ?pool
       Cgra_util.Rng.create
         ~seed:(((seed * 31) + (ii * 1009) + rng_a) lxor 0x5bf03635)
     in
-    Attempt.run (Attempt.create ~spread ~bus ?cancel ~debug prep ii rng)
+    let t = Attempt.create ~spread ~bus ?cancel ~debug prep ii rng in
+    let r = Attempt.run t in
+    ignore (Atomic.fetch_and_add route_searches (Router.searches t.router));
+    ignore (Atomic.fetch_and_add route_expansions (Router.expansions t.router));
+    r
   in
   let ladder_attempt ?cancel ?debug ~ii ~a () =
     let bus = a < bus_n in
@@ -826,6 +836,8 @@ let map ?(seed = 0) ?max_ii ?(attempts = 64) ?(bus_aware = true) ?pool
         counter "sched.race.launched" l;
         counter "sched.race.cancelled" (n_candidates - l);
         counter "sched.race.polish" (Atomic.get polish_runs);
+        counter "sched.route.searches" (Atomic.get route_searches);
+        counter "sched.route.expansions" (Atomic.get route_expansions);
         Cgra_trace.Trace.emit trace
           (Cgra_trace.Trace.Mark
              {

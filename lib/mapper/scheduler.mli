@@ -57,7 +57,10 @@ val map :
     ladder order up to the winner.
 
     [trace] receives a ["sched.race"] span around the search plus
-    counters (candidates / launched / cancelled / polish) and a winner
+    counters (candidates / launched / cancelled / polish), the router's
+    work over every attempt run (["sched.route.searches"],
+    ["sched.route.expansions"]: best-first searches and heap pops; exact
+    for a sequential map, width-dependent when raced) and a winner
     mark. *)
 
 val mii : kind -> Cgra_arch.Cgra.t -> Cgra_dfg.Graph.t -> int

@@ -1,7 +1,7 @@
 (** Purely functional min-priority queue (pairing heap).
 
-    Used by the discrete-event system simulator ([Cgra_core.Os_sim]) and by
-    the router's best-first searches.  Priorities are compared with a
+    Used by the discrete-event system simulator ([Cgra_core.Os_sim]).
+    Priorities are compared with a
     user-supplied total order; ties are broken by insertion sequence so
     event processing is deterministic. *)
 

@@ -8,8 +8,8 @@ let arch_4x4_p2 () = Option.get (Cgra.standard ~size:4 ~page_pes:2)
 
 let arch_6x6_p8 () = Option.get (Cgra.standard ~size:6 ~page_pes:8)
 
-let map_ok kind arch g =
-  match Scheduler.map kind arch g with
+let map_ok ?trace kind arch g =
+  match Scheduler.map ?trace kind arch g with
   | Ok m -> m
   | Error e -> Alcotest.failf "mapping failed: %s" e
 
@@ -335,17 +335,34 @@ let test_route_through_pe () =
   (* dropping the route must fail *)
   expect_invalid_with "cannot read" { m with routes = [] }
 
+(* A router workspace over the 4x4 fabric with mesh reach and no page
+   limits, where every slot of a [busy] PE is taken. *)
+let route_4x4 ?(busy = fun _ -> false) ~ii ~src ~dst ~deadline ~max_hops () =
+  let grid = (arch_4x4_p4 ()).Cgra.grid in
+  let n = Grid.pe_count grid in
+  let fab =
+    Router.fabric grid ~pes:(Array.of_list (Grid.all_pes grid)) ~page:(Array.make n 0)
+      ~reach:(fun a b ->
+        Coord.equal a b || Coord.adjacent a b)
+  in
+  let occupied = Bytes.make (n * ii) '\000' in
+  List.iteri
+    (fun i pe -> if busy pe then Bytes.fill occupied (i * ii) ii '\001')
+    (Grid.all_pes grid);
+  let ws = Router.workspace fab ~ii ~occupied ~overlay:(Array.make (n * ii) 0) () in
+  let r =
+    Router.route ws ~gen:1 ~lo_page:min_int ~hi_page:max_int
+      ~src:{ Mapping.pe = src; time = 0 }
+      ~dst_pe:dst ~deadline ~max_hops
+  in
+  (r, ws)
+
+let rc r c = Coord.make ~row:r ~col:c
+
 let test_router_finds_path () =
-  let arch = arch_4x4_p4 () in
-  let grid = arch.Cgra.grid in
-  let free _ _ = true in
   let read_adjacent a b = Coord.equal a b || Coord.adjacent a b in
-  match
-    Router.find ~grid ~ii:4 ~free ~allowed:(fun _ -> true) ~read_adjacent
-      ~src:{ Mapping.pe = Coord.make ~row:0 ~col:0; time = 0 }
-      ~dst_pe:(Coord.make ~row:3 ~col:3) ~deadline:8 ~max_hops:8 ()
-  with
-  | Some hops ->
+  match route_4x4 ~ii:4 ~src:(rc 0 0) ~dst:(rc 3 3) ~deadline:8 ~max_hops:8 () with
+  | Some hops, ws ->
       Alcotest.(check bool) "needs >= 4 hops" true (List.length hops >= 4);
       (* chain is contiguous in space and increasing in time *)
       let rec check prev = function
@@ -356,55 +373,92 @@ let test_router_finds_path () =
             Alcotest.(check bool) "later" true (h.time > prev.Mapping.time);
             check h rest
       in
-      check { Mapping.pe = Coord.make ~row:0 ~col:0; time = 0 } hops
-  | None -> Alcotest.fail "no route"
+      check { Mapping.pe = rc 0 0; time = 0 } hops;
+      Alcotest.(check int) "one search" 1 (Router.searches ws);
+      Alcotest.(check bool) "expanded at least the chain" true
+        (Router.expansions ws >= List.length hops)
+  | None, _ -> Alcotest.fail "no route"
 
 let test_router_direct_case () =
-  let arch = arch_4x4_p4 () in
-  match
-    Router.find ~grid:arch.Cgra.grid ~ii:2
-      ~free:(fun _ _ -> true)
-      ~allowed:(fun _ -> true)
-      ~read_adjacent:(fun a b -> Coord.equal a b || Coord.adjacent a b)
-      ~src:{ Mapping.pe = Coord.make ~row:0 ~col:0; time = 0 }
-      ~dst_pe:(Coord.make ~row:0 ~col:1) ~deadline:5 ~max_hops:4 ()
-  with
-  | Some [] -> ()
-  | Some _ -> Alcotest.fail "expected no hops"
-  | None -> Alcotest.fail "expected direct"
+  match route_4x4 ~ii:2 ~src:(rc 0 0) ~dst:(rc 0 1) ~deadline:5 ~max_hops:4 () with
+  | Some [], ws -> Alcotest.(check int) "no search" 0 (Router.searches ws)
+  | Some _, _ -> Alcotest.fail "expected no hops"
+  | None, _ -> Alcotest.fail "expected direct"
 
 let test_router_respects_deadline () =
-  let arch = arch_4x4_p4 () in
-  match
-    Router.find ~grid:arch.Cgra.grid ~ii:8
-      ~free:(fun _ _ -> true)
-      ~allowed:(fun _ -> true)
-      ~read_adjacent:(fun a b -> Coord.equal a b || Coord.adjacent a b)
-      ~src:{ Mapping.pe = Coord.make ~row:0 ~col:0; time = 0 }
-      ~dst_pe:(Coord.make ~row:3 ~col:3) ~deadline:2 ~max_hops:8 ()
-  with
-  | None -> ()
-  | Some _ -> Alcotest.fail "deadline too tight for 4 hops"
+  match route_4x4 ~ii:8 ~src:(rc 0 0) ~dst:(rc 3 3) ~deadline:2 ~max_hops:8 () with
+  | None, ws -> Alcotest.(check int) "rejected before searching" 0 (Router.searches ws)
+  | Some _, _ -> Alcotest.fail "deadline too tight for 4 hops"
 
 let test_router_respects_occupancy () =
   (* wall of busy slots in column 1 except one cell forces the path
      through that cell *)
-  let arch = arch_4x4_p4 () in
-  let free (pe : Coord.t) _ = not (pe.col = 1 && pe.row <> 2) in
+  let busy (pe : Coord.t) = pe.col = 1 && pe.row <> 2 in
   match
-    Router.find ~grid:arch.Cgra.grid ~ii:8 ~free
-      ~allowed:(fun _ -> true)
-      ~read_adjacent:(fun a b -> Coord.equal a b || Coord.adjacent a b)
-      ~src:{ Mapping.pe = Coord.make ~row:0 ~col:0; time = 0 }
-      ~dst_pe:(Coord.make ~row:0 ~col:3) ~deadline:20 ~max_hops:10 ()
+    route_4x4 ~busy ~ii:8 ~src:(rc 0 0) ~dst:(rc 0 3) ~deadline:20 ~max_hops:10 ()
   with
-  | Some hops ->
+  | Some hops, _ ->
       Alcotest.(check bool) "path uses the gap" true
         (List.exists
            (fun (h : Mapping.placement) -> h.pe.Coord.col = 1 && h.pe.Coord.row = 2)
-           hops
-        || List.for_all (fun (h : Mapping.placement) -> h.pe.Coord.col <> 1) hops)
-  | None -> Alcotest.fail "router should find a detour"
+           hops);
+      Alcotest.(check bool) "no busy hop" true
+        (List.for_all (fun (h : Mapping.placement) -> not (busy h.pe)) hops)
+  | None, _ -> Alcotest.fail "router should find a detour"
+
+let test_router_tie_order () =
+  (* Equal (hops, cost, time) keys pop in push order, and neighbours are
+     pushed N/E/S/W then self.  From (0,1) to a reader at (1,0) the
+     one-hop relays are (1,1) (pushed as S) and (0,0) (pushed as W), so
+     the chain is [(1,1)] at t = 1 — not the lower-indexed (0,0). *)
+  match route_4x4 ~ii:4 ~src:(rc 0 1) ~dst:(rc 1 0) ~deadline:4 ~max_hops:4 () with
+  | Some [ h ], _ ->
+      Alcotest.(check (pair int int)) "hop PE" (1, 1) (h.pe.Coord.row, h.pe.Coord.col);
+      Alcotest.(check int) "hop time" 1 h.time
+  | Some hops, _ -> Alcotest.failf "expected one hop, got %d" (List.length hops)
+  | None, _ -> Alcotest.fail "no route"
+
+let test_router_page_range () =
+  (* On 4x4 with 4-PE pages, a chain restricted to pages [0, 0] cannot
+     leave page 0, so a consumer two pages away is unreachable, while
+     the paged reach relation lets the full range relay through page 1. *)
+  let arch = arch_4x4_p4 () in
+  let grid = arch.Cgra.grid in
+  let pages = arch.Cgra.pages in
+  let page =
+    Array.of_list
+      (List.map
+         (fun pe -> Option.value ~default:(-1) (Page.page_of_pe pages pe))
+         (Grid.all_pes grid))
+  in
+  let fab =
+    Router.fabric grid ~pes:(Array.of_list (Grid.all_pes grid)) ~page ~reach:(fun a b ->
+        let pa = page.(Grid.index grid a) and pb = page.(Grid.index grid b) in
+        pa >= 0 && (pb = pa || pb = pa + 1) && (Coord.equal a b || Coord.adjacent a b))
+  in
+  let ii = 4 and n = Grid.pe_count grid in
+  let ws =
+    Router.workspace fab ~ii
+      ~occupied:(Bytes.make (n * ii) '\000')
+      ~overlay:(Array.make (n * ii) 0) ()
+  in
+  let src = List.hd (Page.pes_of_page pages 0)
+  and dst = List.hd (Page.pes_of_page pages 2) in
+  let go hi =
+    Router.route ws ~gen:1 ~lo_page:0 ~hi_page:hi
+      ~src:{ Mapping.pe = src; time = 0 }
+      ~dst_pe:dst ~deadline:16 ~max_hops:12
+  in
+  Alcotest.(check bool) "confined to page 0" true (go 0 = None);
+  match go 2 with
+  | None -> Alcotest.fail "expected a relay through page 1"
+  | Some hops ->
+      List.iter
+        (fun (h : Mapping.placement) ->
+          Alcotest.(check bool) "hop inside pages 0-2" true
+            (let p = page.(Grid.index grid h.pe) in
+             p >= 0 && p <= 2))
+        hops
 
 (* ---------- bandwidth-aware scheduling ---------- *)
 
@@ -472,6 +526,75 @@ let test_bus_aware_race_identical () =
             [ 1; 2; 4 ])
         kernels)
     grid_fabrics
+
+(* ---------- decision identity ---------- *)
+
+(* One digest over (ii, placements, routes) of every kernel x fabric x
+   kind of the Fig. 8 grid at [seed].  Any change to a placement, a hop,
+   a tie-break or the rng stream changes it, so a speed-up of the
+   scheduler or router must leave the pinned values alone. *)
+let grid_digest ?pool seed =
+  let b = Buffer.create 4096 in
+  List.iter
+    (fun (size, page_pes) ->
+      let arch = Option.get (Cgra.standard ~size ~page_pes) in
+      List.iter
+        (fun (k : Cgra_kernels.Kernels.t) ->
+          List.iter
+            (fun kind ->
+              match Scheduler.map ~seed ?pool kind arch k.graph with
+              | Ok m ->
+                  Buffer.add_string b
+                    (Marshal.to_string (m.Mapping.ii, m.placements, m.routes)
+                       [ Marshal.No_sharing ])
+              | Error e -> Buffer.add_string b e)
+            [ Scheduler.Unconstrained; Scheduler.Paged ])
+        Cgra_kernels.Kernels.all)
+    grid_fabrics;
+  Digest.to_hex (Digest.string (Buffer.contents b))
+
+let test_grid_digests () =
+  let pinned =
+    [
+      (0, "6e5d8e4a635368e32b806759325ce94c");
+      (3, "b240eaee4df2160afc8cae2b29941a1e");
+      (7, "ef6c88e0bf128c634780712b5b20da5d");
+    ]
+  in
+  Cgra_util.Pool.with_pool ~clamp:false ~domains:2 (fun pool ->
+      List.iter
+        (fun (seed, want) ->
+          Alcotest.(check string)
+            (Printf.sprintf "seed %d sequential" seed)
+            want (grid_digest seed);
+          Alcotest.(check string)
+            (Printf.sprintf "seed %d width 2" seed)
+            want (grid_digest ~pool seed))
+        pinned)
+
+let test_route_counters () =
+  (* the router's work counts are deterministic for a sequential map *)
+  let arch = arch_4x4_p4 () in
+  let k = Cgra_kernels.Kernels.find_exn "sobel" in
+  let counts () =
+    let trace = Cgra_trace.Trace.make () in
+    ignore (map_ok ~trace Paged arch k.graph);
+    let counter name =
+      List.fold_left
+        (fun acc (e : Cgra_trace.Trace.event) ->
+          match e.payload with
+          | Cgra_trace.Trace.Counter { name = n; value } when n = name ->
+              acc +. value
+          | _ -> acc)
+        0.0
+        (Cgra_trace.Trace.events trace)
+    in
+    (counter "sched.route.searches", counter "sched.route.expansions")
+  in
+  let ((searches, expansions) as a) = counts () in
+  Alcotest.(check (pair (float 0.0) (float 0.0))) "repeatable" a (counts ());
+  Alcotest.(check bool) "searches > 0" true (searches > 0.0);
+  Alcotest.(check bool) "expansions >= searches" true (expansions >= searches)
 
 (* ---------- properties over synthetic kernels ---------- *)
 
@@ -558,6 +681,8 @@ let () =
           Alcotest.test_case "direct case" `Quick test_router_direct_case;
           Alcotest.test_case "deadline" `Quick test_router_respects_deadline;
           Alcotest.test_case "occupancy detour" `Quick test_router_respects_occupancy;
+          Alcotest.test_case "tie order" `Quick test_router_tie_order;
+          Alcotest.test_case "page range" `Quick test_router_page_range;
         ] );
       ( "bus-aware",
         [
@@ -565,6 +690,12 @@ let () =
             test_bus_aware_ii_monotone;
           Alcotest.test_case "raced = sequential at -j 1/2/4" `Slow
             test_bus_aware_race_identical;
+        ] );
+      ( "identity",
+        [
+          Alcotest.test_case "grid digests at seeds 0/3/7, -j 1 and 2" `Slow
+            test_grid_digests;
+          Alcotest.test_case "route counters repeatable" `Quick test_route_counters;
         ] );
       ( "properties",
         [

@@ -175,7 +175,8 @@ let test_sched_race_golden () =
      for mpeg/paged on 4x4 launches exactly 8 of the 3280 candidates (80
      per II: 16 bus-aware attempts ahead of the 64-attempt legacy replay)
      before bus attempt (1,7) wins at the MII, cancelling the rest, then
-     polishes 8x *)
+     polishes 8x; those 16 attempts run 80 router searches and pop 146
+     heap entries *)
   let a = arch 4 4 in
   let k = Cgra_kernels.Kernels.find_exn "mpeg" in
   let trace = T.make () in
@@ -188,8 +189,10 @@ let test_sched_race_golden () =
      {\"seq\":2,\"t\":0,\"kind\":\"counter\",\"name\":\"sched.race.launched\",\"value\":8}\n\
      {\"seq\":3,\"t\":0,\"kind\":\"counter\",\"name\":\"sched.race.cancelled\",\"value\":3272}\n\
      {\"seq\":4,\"t\":0,\"kind\":\"counter\",\"name\":\"sched.race.polish\",\"value\":8}\n\
-     {\"seq\":5,\"t\":0,\"kind\":\"mark\",\"name\":\"sched.race.winner\",\"detail\":\"ii=1 attempt=7\"}\n\
-     {\"seq\":6,\"t\":0,\"kind\":\"span_end\",\"name\":\"sched.race\"}\n"
+     {\"seq\":5,\"t\":0,\"kind\":\"counter\",\"name\":\"sched.route.searches\",\"value\":80}\n\
+     {\"seq\":6,\"t\":0,\"kind\":\"counter\",\"name\":\"sched.route.expansions\",\"value\":146}\n\
+     {\"seq\":7,\"t\":0,\"kind\":\"mark\",\"name\":\"sched.race.winner\",\"detail\":\"ii=1 attempt=7\"}\n\
+     {\"seq\":8,\"t\":0,\"kind\":\"span_end\",\"name\":\"sched.race\"}\n"
     (Export.jsonl (T.events trace))
 
 let test_jsonl_lines_parse () =

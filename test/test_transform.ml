@@ -107,6 +107,21 @@ let test_fold_to_one_page_always_exact () =
         Cgra_kernels.Kernels.names)
     [ (4, 2); (4, 4); (6, 8); (8, 4) ]
 
+let test_fold_exact_only_when_valid () =
+  (* regression: at seed 3, sobel on 6x6 with 8-PE pages folds to one
+     page with an exact embedding, but the stretched lifetimes need 17
+     registers on a 16-register PE.  Such a fold is not PE-exact. *)
+  let k = Cgra_kernels.Kernels.find_exn "sobel" in
+  let m =
+    match Scheduler.map ~seed:3 Paged (arch 6 8) k.graph with
+    | Ok m -> m
+    | Error e -> Alcotest.failf "mapping sobel failed: %s" e
+  in
+  let sh = fold_ok ~target_pages:1 m in
+  Alcotest.(check bool) "folded schedule overflows a register file" true
+    (Result.is_error (Mapping.validate ~check_mem:false sh.mapping));
+  Alcotest.(check bool) "not PE-exact" false sh.pe_exact
+
 let test_fold_stays_in_target_range () =
   let m = paged_mapping "swim" in
   let sh = fold_ok ~base_page:1 ~target_pages:2 m in
@@ -335,6 +350,7 @@ let () =
             test_fold_square_tiles_always_exact;
           Alcotest.test_case "fold to one page exact everywhere" `Slow
             test_fold_to_one_page_always_exact;
+          Alcotest.test_case "exact only when valid" `Quick test_fold_exact_only_when_valid;
           Alcotest.test_case "stays in target range" `Quick test_fold_stays_in_target_range;
           Alcotest.test_case "fold from relocated base" `Quick
             test_fold_from_relocated_base;

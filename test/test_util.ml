@@ -86,6 +86,67 @@ let test_rng_choose () =
     Alcotest.(check bool) "member" true (List.mem x [ 1; 2; 3 ])
   done
 
+let test_rng_golden_stream () =
+  (* MD5 of the first 32 outputs of each draw, recorded from the boxed
+     [int64] generator: the in-place byte state must reproduce its stream
+     exactly.  [split] takes one output of each split-off generator;
+     [copy] draws from a copy taken one output in, after advancing the
+     original once more. *)
+  let draws =
+    [
+      ("bits64", fun r -> Int64.to_string (Rng.bits64 r));
+      ("int", fun r -> string_of_int (Rng.int r 1_000_003));
+      ("float", fun r -> Printf.sprintf "%h" (Rng.float r 1.0));
+      ("split", fun r -> Int64.to_string (Rng.bits64 (Rng.split r)));
+      ( "copy",
+        fun r ->
+          ignore (Rng.bits64 r);
+          let c = Rng.copy r in
+          ignore (Rng.bits64 r);
+          Int64.to_string (Rng.bits64 c) );
+    ]
+  in
+  let pinned =
+    [
+      ( 0,
+        [
+          "199ad251c68aa8d7aed7c36e95e2c051";
+          "98312ebd07a835047ca7bdbeb25b4788";
+          "5b26000f2cf67bbf4afef70c9249729e";
+          "318ae46d8007000e15e9f6d5745a49a7";
+          "5bc59f86ac9b8d012c6dc20c006d19ab";
+        ] );
+      ( 1,
+        [
+          "a7bd0a5fd265d96010df3f41b3768aa0";
+          "870fad660daa2d0bd08abe99b46e31c1";
+          "f6921a52a14786630857e1be54a26a27";
+          "6b246fb4021161fa6962d67b28586f71";
+          "e85aa2192ce391f0a2d58b946eedfd4e";
+        ] );
+      ( 0x5bf03635,
+        [
+          "7ee90afebf27a61bf30f6990c30307d9";
+          "099ae84e2f6c0fa3b8025ffa28d27ac2";
+          "1042ac4fccf81b8c33e86866940dfaa7";
+          "221b4ecdac76d27e2dd3c0fea785e529";
+          "b4382b5b0434d95c8f8c41ca7afdd6e1";
+        ] );
+    ]
+  in
+  List.iter
+    (fun (seed, want) ->
+      List.iter2
+        (fun (name, draw) want ->
+          let r = Rng.create ~seed in
+          let got =
+            Digest.to_hex
+              (Digest.string (String.concat "," (List.init 32 (fun _ -> draw r))))
+          in
+          Alcotest.(check string) (Printf.sprintf "%s seed %d" name seed) want got)
+        draws want)
+    pinned
+
 let test_rng_exponential_mean () =
   let r = Rng.create ~seed:23 in
   let n = 5000 in
@@ -425,6 +486,7 @@ let () =
           Alcotest.test_case "shuffle permutes" `Quick test_rng_shuffle_permutation;
           Alcotest.test_case "choose membership" `Quick test_rng_choose;
           Alcotest.test_case "exponential mean" `Quick test_rng_exponential_mean;
+          Alcotest.test_case "golden stream" `Quick test_rng_golden_stream;
         ] );
       ( "pqueue",
         [
