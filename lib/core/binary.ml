@@ -5,17 +5,21 @@ type t = {
   graph : Cgra_dfg.Graph.t;
   base : Mapping.t;
   paged : Mapping.t;
+  n_pages : int;
 }
+
+let make ~name ~graph ~base ~paged =
+  { name; graph; base; paged; n_pages = Mapping.n_pages_used paged }
 
 let ii_base t = t.base.Mapping.ii
 
 let ii_paged t = t.paged.Mapping.ii
 
-let pages_used t = Mapping.n_pages_used t.paged
+let pages_used t = t.n_pages
 
 let iteration_cycles t ~pages =
   if pages <= 0 then invalid_arg "Binary.iteration_cycles: pages <= 0";
-  Transform.ii_q ~ii_p:(ii_paged t) ~n_used:(pages_used t) ~target_pages:pages
+  Transform.ii_q ~ii_p:(ii_paged t) ~n_used:t.n_pages ~target_pages:pages
 
 (* ----- compile cache ----- *)
 
@@ -78,7 +82,7 @@ let compile_uncached ~seed ?pool ?trace arch (k : Cgra_kernels.Kernels.t) =
   | Ok base -> (
       match Scheduler.map ~seed ?pool ?trace Paged arch k.graph with
       | Error e -> Error e
-      | Ok paged -> Ok { name = k.name; graph = k.graph; base; paged })
+      | Ok paged -> Ok (make ~name:k.name ~graph:k.graph ~base ~paged))
 
 let memoize key r =
   Mutex.lock cache_lock;

@@ -6,12 +6,26 @@
     the unconstrained binary; the multithreaded system runs the paged one
     and shrinks it with the PageMaster transformation as needed. *)
 
-type t = {
+type t = private {
   name : string;
   graph : Cgra_dfg.Graph.t;
   base : Cgra_mapper.Mapping.t;  (** unconstrained mapping, [II_b] *)
   paged : Cgra_mapper.Mapping.t;  (** paging-constrained mapping, [II_c] *)
+  n_pages : int;  (** [Mapping.n_pages_used paged], computed by {!make} *)
 }
+(** [private] so that {!make} is the only constructor: a binary's page
+    footprint is fixed at compile time, and a record built field by
+    field could carry a count that disagrees with its [paged] mapping. *)
+
+val make :
+  name:string ->
+  graph:Cgra_dfg.Graph.t ->
+  base:Cgra_mapper.Mapping.t ->
+  paged:Cgra_mapper.Mapping.t ->
+  t
+(** Builds a binary and counts the pages its paged mapping occupies,
+    once.  The compiler and the on-disk store's loader both build
+    through here. *)
 
 val ii_base : t -> int
 
@@ -19,12 +33,14 @@ val ii_paged : t -> int
 
 val pages_used : t -> int
 (** Pages the paged mapping occupies — what the thread gets when the CGRA
-    is otherwise idle. *)
+    is otherwise idle.  O(1): reads the count {!make} computed. *)
 
 val iteration_cycles : t -> pages:int -> int
 (** Cycles per kernel iteration when the thread holds [pages] pages:
     [ii_paged * ceil (pages_used / pages)], clamped at [ii_paged] when
-    the allocation covers the whole schedule ([Transform.ii_q]). *)
+    the allocation covers the whole schedule ([Transform.ii_q]).  O(1),
+    so the OS simulator prices every grant and reshape without walking
+    the mapping. *)
 
 val compile :
   ?seed:int ->

@@ -104,7 +104,6 @@ type shard = {
   spec : shard_spec;
   total_pages : int;
   suite : Binary.t list;
-  pages_by_kernel : (string * int) list;
   engine : Os_sim.Engine.t;
   strace : T.t;
   mutable active_epochs : int;
@@ -135,11 +134,14 @@ let validate p =
    shrinking) model, so loads above 1 saturate by construction. *)
 let mean_iters = float_of_int (min_iterations + max_iterations) /. 2.0
 
+let find_binary suite name =
+  List.find_opt (fun (b : Binary.t) -> b.name = name) suite
+
 let shard_service_cycles suite =
   let total =
     Array.fold_left
       (fun acc name ->
-        match List.find_opt (fun (b : Binary.t) -> b.name = name) suite with
+        match find_binary suite name with
         | Some b ->
             acc
             +. (float_of_int
@@ -172,12 +174,7 @@ let run ?pool ?(traced = false) p =
               in
               build (i + 1)
                 ({ index = i; spec; total_pages = Cgra_arch.Cgra.n_pages arch;
-                   suite;
-                   pages_by_kernel =
-                     List.map
-                       (fun (b : Binary.t) -> (b.name, Binary.pages_used b))
-                       suite;
-                   engine; strace; active_epochs = 0; active_in = 0;
+                   suite; engine; strace; active_epochs = 0; active_in = 0;
                    served = 0; busy_cycles = 0.0 }
                 :: acc)
                 rest)
@@ -259,34 +256,45 @@ let run ?pool ?(traced = false) p =
       Os_sim.Engine.set_on_grant s.engine (on_grant s.index);
       Os_sim.Engine.set_on_finish s.engine on_finish)
     shards;
-  (* each shard's next wake-up, nan when its queue is empty; refreshed
-     only after the coordinator steps or submits to that shard *)
-  let wake = Array.make (Array.length shard_arr) Float.nan in
+  (* Per-shard state the coordinator reads, refreshed only after it
+     steps or submits to that shard (the only moves that change it):
+     the next wake-up, nan when the shard's queue is empty, and the
+     dispatch key (in-flight requests, used-page fraction). *)
+  let n_shards = Array.length shard_arr in
+  let wake = Array.make n_shards Float.nan in
+  let in_flight = Array.make n_shards 0 in
+  let used = Array.make n_shards 0.0 in
   let refresh s =
     wake.(s.index) <-
       (match Os_sim.Engine.next_event s.engine with
       | Some t -> t
-      | None -> Float.nan)
+      | None -> Float.nan);
+    in_flight.(s.index) <- Os_sim.Engine.in_flight s.engine;
+    used.(s.index) <- Os_sim.Engine.used_page_fraction s.engine
   in
-  (* load-aware shard candidates: fewest in-flight requests, then least
-     allocated fabric, then lowest index — all deterministic signals,
-     all read at a sync boundary where every shard is settled, once per
-     shard per ranking *)
-  let candidates () =
-    List.filter_map
-      (fun s ->
-        let in_flight = Os_sim.Engine.in_flight s.engine in
-        if in_flight < p.max_resident then
-          Some (in_flight, Os_sim.Engine.used_page_fraction s.engine, s)
-        else None)
-      shards
-    |> List.sort (fun (fa, ua, a) (fb, ub, b) ->
-           let c = Int.compare fa fb in
-           if c <> 0 then c
-           else
-             let c = Float.compare ua ub in
-             if c <> 0 then c else Int.compare a.index b.index)
-    |> List.map (fun (_, _, s) -> s)
+  Array.iter refresh shard_arr;
+  (* Load-aware dispatch order: fewest in-flight requests, then least
+     allocated fabric, then lowest index.  A shard at [max_resident] is
+     no candidate, nor is one the current tenant's walk has [tried].
+     [next_candidate] is one argmin over the cached keys (strict
+     comparisons in index order keep the lowest index on ties); a tenant
+     walks the order by repeated argmin, marking each unaffordable shard
+     tried, so nothing is sorted and [Least_loaded] costs one argmin. *)
+  let tried = Array.make n_shards false in
+  let next_candidate () =
+    let best = ref (-1) in
+    for i = 0 to n_shards - 1 do
+      if in_flight.(i) < p.max_resident && not tried.(i) then
+        if !best < 0 then best := i
+        else
+          let b = !best in
+          if
+            in_flight.(i) < in_flight.(b)
+            || in_flight.(i) = in_flight.(b)
+               && Float.compare used.(i) used.(b) < 0
+          then best := i
+    done;
+    !best
   in
   (* Cost-aware deferral: dispatching a request whose binary does not fit
      in the shard's free pages forces the allocator to shrink residents —
@@ -300,9 +308,10 @@ let run ?pool ?(traced = false) p =
     match p.dispatch with
     | Least_loaded -> true
     | Cost_aware -> (
-        match List.assoc_opt r.kernel s.pages_by_kernel with
+        match find_binary s.suite r.kernel with
         | None -> true
-        | Some need ->
+        | Some b ->
+            let need = Binary.pages_used b in
             let free = Os_sim.Engine.free_pages s.engine in
             if free >= need then true
             else
@@ -315,6 +324,16 @@ let run ?pool ?(traced = false) p =
                 | None -> 0.0
               in
               reshape <= wait)
+  in
+  (* the first shard in dispatch order that [r] can afford, -1 if none;
+     every shard it passes over is left marked [tried] *)
+  let rec first_affordable r now =
+    let i = next_candidate () in
+    if i < 0 || affordable shard_arr.(i) r now then i
+    else begin
+      tried.(i) <- true;
+      first_affordable r now
+    end
   in
   let dispatch r (s : shard) now =
     r.shard <- s.index;
@@ -334,23 +353,26 @@ let run ?pool ?(traced = false) p =
      deferred by the cost model is skipped, not popped, so per-tenant
      FIFO order is preserved *)
   let rec try_dispatch now =
-    (* no engine moves until a dispatch ends the scan, so one ranking
-       serves every tenant the scan visits *)
-    let ranked = lazy (candidates ()) in
+    (* no engine moves until a dispatch ends the scan, so the keys every
+       tenant's walk reads are those of the boundary *)
     let rec scan tid =
       if tid >= p.n_tenants then false
       else if Queue.is_empty queues.(tid) then scan (tid + 1)
-      else
-        match Lazy.force ranked with
-        | [] -> false (* capacity is fleet-wide: nobody can dispatch *)
-        | cands -> (
-            let r = Queue.peek queues.(tid) in
-            match List.find_opt (fun s -> affordable s r now) cands with
-            | None -> scan (tid + 1)
-            | Some s ->
-                ignore (Queue.take queues.(tid));
-                dispatch r s now;
-                true)
+      else begin
+        let r = Queue.peek queues.(tid) in
+        Array.fill tried 0 n_shards false;
+        let i = first_affordable r now in
+        if i >= 0 then begin
+          ignore (Queue.take queues.(tid));
+          dispatch r shard_arr.(i) now;
+          true
+        end
+        else if Array.exists Fun.id tried then scan (tid + 1)
+        else
+          (* no shard was even a candidate: every one is at
+             [max_resident], so no tenant can dispatch *)
+          false
+      end
     in
     if scan 0 then try_dispatch now
   in

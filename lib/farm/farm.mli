@@ -170,7 +170,9 @@ val run :
 
     One run costs time linear in the requests times the threads live on
     a shard: each shard engine's PageMaster resync walks only unfinished
-    threads, and each dispatch scan ranks the shards once. *)
+    threads, and a dispatch scan reads per-shard keys cached when that
+    shard last moved, taking the best affordable shard by argmin rather
+    than by sorting the fleet. *)
 
 val dispatch_name : dispatch -> string
 (** ["least-loaded"] / ["cost-aware"] — the rendering and CLI spelling. *)

@@ -157,7 +157,7 @@ let load t ~seed arch (k : Cgra_kernels.Kernels.t) =
               | Ok (name, _, _) when name <> k.name ->
                   Error (Printf.sprintf "artifact names kernel %s, not %s" name k.name)
               | Ok (name, base, paged) ->
-                  Ok { Binary.name; graph = k.graph; base; paged })
+                  Ok (Binary.make ~name ~graph:k.graph ~base ~paged))
       in
       (match decoded with
       | Ok b ->

@@ -96,10 +96,11 @@ let test_rejections_respect_bound () =
    intentional, print the stream and update. *)
 let golden_stream_digest = "a7db4b97fef8df832ffa6e3d3dcc3e83"
 
-(* Two fleet-scale inputs pin the cross-shard event order: with many
+(* Three fleet-scale inputs pin the cross-shard event order: with many
    shards waking at equal times, any change to which shard's grants and
    finishes are replayed first moves the retirement log, the farm_*
-   stream or a shard's stream.  Each surface is pinned by its own
+   stream or a shard's stream.  The cost-aware case also pins the
+   dispatch walk past shards whose reshape price defers a request.  Each surface is pinned by its own
    digest: render with the retirement log and the per-shard epoch
    stats, the farm_* JSONL, and the concatenated per-shard JSONL. *)
 let golden_fleet =
@@ -114,6 +115,13 @@ let golden_fleet =
       ( "787b5026b849c38cf5e873a11669133a",
         "3d3afa2cf0530707a52bb0a71b930227",
         "5d0c7c0f1a372c8e1d061db5fe0e2395" ) );
+    ( "big fleet, cost-aware at load 3",
+      { Farm.big_params with
+        n_requests = 400; offered_load = 3.0; reconfig_cost = 100.0;
+        dispatch = Farm.Cost_aware },
+      ( "2eeb4a93d555013529a94e25b03f544f",
+        "67615cafa038207cc86d9b0d9eb2cafa",
+        "c5a637d9694a37a000df436075d095f5" ) );
   ]
 
 let test_golden_stream () =

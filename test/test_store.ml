@@ -138,6 +138,36 @@ let test_store_roundtrip_suite () =
         c.Cgra_store.load_hits;
       Alcotest.(check int) "no rejects" 0 c.Cgra_store.rejects)
 
+(* [Binary.make] counts the paged mapping's pages once; the O(1)
+   [pages_used] and [iteration_cycles] must agree with recomputing both
+   from the mapping, for a fresh compile and for a store load alike *)
+let check_footprint what (b : Binary.t) =
+  let n_used = Cgra_mapper.Mapping.n_pages_used b.paged in
+  Alcotest.(check int) (what ^ " pages_used") n_used (Binary.pages_used b);
+  for pages = 1 to Binary.pages_used b do
+    Alcotest.(check int)
+      (Printf.sprintf "%s iteration_cycles at %d pages" what pages)
+      (Transform.ii_q ~ii_p:(Binary.ii_paged b) ~n_used ~target_pages:pages)
+      (Binary.iteration_cycles b ~pages)
+  done
+
+let test_footprint_coherent () =
+  with_store (fun store ->
+      List.iter
+        (fun size ->
+          let a = arch size 4 in
+          List.iter
+            (fun (k : Cgra_kernels.Kernels.t) ->
+              let what = Printf.sprintf "%s %dx%d" k.name size size in
+              let b = compile_ok a k in
+              check_footprint (what ^ " compiled") b;
+              Cgra_store.save store ~seed:0 a k b;
+              match Cgra_store.load store ~seed:0 a k with
+              | None -> Alcotest.failf "%s: artifact did not load back" what
+              | Some b' -> check_footprint (what ^ " loaded") b')
+            Cgra_kernels.Kernels.all)
+        [ 4; 6; 8 ])
+
 let test_loaded_binary_simulates_identically () =
   with_store (fun store ->
       let a = arch 4 4 in
@@ -420,6 +450,8 @@ let () =
             test_mapping_roundtrip_suite;
           Alcotest.test_case "store over suite x sizes" `Quick
             test_store_roundtrip_suite;
+          Alcotest.test_case "page footprint compiled and loaded" `Quick
+            test_footprint_coherent;
           Alcotest.test_case "loaded binary simulates identically" `Quick
             test_loaded_binary_simulates_identically;
         ] );
