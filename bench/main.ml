@@ -98,6 +98,63 @@ let show rows =
 
 (* ----- Fig. 8: compile-time constraint cost ----- *)
 
+(* The mapper's work over the same grid (every fabric, every kernel,
+   seed 0), compiled one kernel at a time on a cleared memo with no pool:
+   sequential counts are exact, so these rows reproduce on any host and
+   gate with no tolerance ("work " rows, Bench_gate.work).  Baseline
+   reuse across page sizes shows as the baseline searches actually
+   run. *)
+let fig8_work ~quiet =
+  Binary.clear_cache ();
+  let trace = Cgra_trace.Trace.make () in
+  let compiles = ref 0 in
+  List.iter
+    (fun size ->
+      List.iter
+        (fun page_pes ->
+          match Cgra_arch.Cgra.standard ~size ~page_pes with
+          | None -> ()
+          | Some arch -> (
+              match Binary.compile_suite ~trace arch with
+              | Ok suite -> compiles := !compiles + List.length suite
+              | Error e -> failwith e))
+        Experiments.page_sizes)
+    Experiments.cgra_sizes;
+  Binary.clear_cache ();
+  let event name =
+    List.fold_left
+      (fun acc (e : Cgra_trace.Trace.event) ->
+        match e.payload with
+        | Cgra_trace.Trace.Counter { name = n; value } when n = name -> acc +. value
+        | _ -> acc)
+      0.0
+      (Cgra_trace.Trace.events trace)
+  in
+  let shared =
+    Option.value ~default:0.0
+      (List.assoc_opt "binary.cache.base_shared" (Cgra_trace.Trace.counters trace))
+  in
+  let rows =
+    List.map
+      (fun (name, v) -> summarize ("work fig8 grid " ^ name) [ v ])
+      [
+        ("attempts launched", event "sched.race.launched");
+        ("route searches", event "sched.route.searches");
+        ("route expansions", event "sched.route.expansions");
+        ("baseline searches", float_of_int !compiles -. shared);
+      ]
+  in
+  if not quiet then begin
+    Printf.printf
+      "\nMapper work over the grid (%d binaries, seed 0, sequential, cold \
+       memo; %.0f baselines shared across page sizes):\n"
+      !compiles shared;
+    List.iter
+      (fun (r : Bench_gate.row) -> Printf.printf "  %-40s %12.0f\n" r.name r.value)
+      rows
+  end;
+  rows
+
 (* The gated quality rows: every fabric's 4-PE-page geomean (the page
    size all three fabrics share, and the one Fig. 8 headlines).  These
    are deterministic functions of the scheduler at seed 0 — no timing,
@@ -108,25 +165,28 @@ let fig8 ~pool ~quiet =
     section
       "Figure 8 - performance cost of the paging constraints (100 * II_b / \
        II_c)";
-  List.concat_map
-    (fun size ->
-      let figs = Experiments.fig8_all ~pool ~size () in
-      if not quiet then
-        List.iter
-          (fun f ->
-            print_newline ();
-            print_endline (Experiments.render_fig8 f))
-          figs;
-      List.filter_map
-        (fun (f : Experiments.fig8) ->
-          if f.page_pes <> 4 then None
-          else
-            Some
-              (summarize ~domains:(Pool.width pool)
-                 (Printf.sprintf "fig8 %dx%d p4 geomean" size size)
-                 [ f.geomean_pct ]))
-        figs)
-    Experiments.cgra_sizes
+  let quality =
+    List.concat_map
+      (fun size ->
+        let figs = Experiments.fig8_all ~pool ~size () in
+        if not quiet then
+          List.iter
+            (fun f ->
+              print_newline ();
+              print_endline (Experiments.render_fig8 f))
+            figs;
+        List.filter_map
+          (fun (f : Experiments.fig8) ->
+            if f.page_pes <> 4 then None
+            else
+              Some
+                (summarize ~domains:(Pool.width pool)
+                   (Printf.sprintf "fig8 %dx%d p4 geomean" size size)
+                   [ f.geomean_pct ]))
+          figs)
+      Experiments.cgra_sizes
+  in
+  quality @ fig8_work ~quiet
 
 (* ----- Fig. 9: multithreading improvement ----- *)
 
@@ -208,7 +268,8 @@ let greedy_benches () =
   List.map
     (fun n ->
       ( Printf.sprintf "greedy transform N=%03d to M=%03d" n (max 1 (n / 2)),
-        fun () -> ignore (Greedy.run ~n ~m:(max 1 (n / 2)) ~ii_p:2 ~iterations:8)
+        fun () ->
+          ignore (Result.get_ok (Greedy.run ~n ~m:(max 1 (n / 2)) ~ii_p:2 ~iterations:8))
       ))
     [ 8; 16; 32; 64; 128; 256 ]
 
@@ -539,7 +600,7 @@ let families =
     { name = "fig9"; unit_ = "wall_s";
       extras = [ ("replicates", int fig9_replicates) ]; in_default = true;
       collect = fig9 };
-    { name = "fig8"; unit_ = "percent"; extras = []; in_default = true;
+    { name = "fig8"; unit_ = "percent|count"; extras = []; in_default = true;
       collect = fig8 };
     { name = "farm"; unit_ = "req_per_kcycle|cycles";
       extras =

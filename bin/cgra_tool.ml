@@ -533,7 +533,7 @@ let cmd_profile =
 
 let cmd_greedy =
   let run n m ii iterations =
-    let r = Greedy.run ~n ~m ~ii_p:ii ~iterations in
+    let r = or_die (Greedy.run ~n ~m ~ii_p:ii ~iterations) in
     Printf.printf
       "N=%d M=%d II_p=%d over %d kernel iterations:\n\
       \  steady-state II: %.2f (fold optimum %d)\n\

@@ -44,7 +44,7 @@ let fig6 () =
 
 let fig7 () =
   rule "Fig. 7 - greedy Algorithm 1, six ring pages onto five columns";
-  let r = Greedy.run ~n:6 ~m:5 ~ii_p:1 ~iterations:24 in
+  let r = Result.get_ok (Greedy.run ~n:6 ~m:5 ~ii_p:1 ~iterations:24) in
   (* draw the first few time rows: which source page sits in which column *)
   let max_time = 6 in
   let grid = Array.make_matrix (max_time + 1) 5 "." in

@@ -76,8 +76,55 @@ let clear_cache () =
   Hashtbl.reset cache;
   Mutex.unlock cache_lock
 
+let tcount trace name =
+  match trace with Some tr -> Cgra_trace.Trace.count tr name 1.0 | None -> ()
+
+(* The unconstrained baseline never sees pages: its search reads the
+   grid and the memory ports, and the register file only in the final
+   [Mapping.validate] of each attempt.  So every binary in the memo
+   already holds the baseline search's result for its grid, ports,
+   kernel, seed and rf capacity.  With no more registers, every attempt
+   that search rejected is rejected again (validation only gets
+   stricter), so when its winner still validates it is this fabric's own
+   first success.  The nearest capacity at or above ours is the one
+   most likely to validate. *)
+let shared_baseline ~seed arch (k : Cgra_kernels.Kernels.t) =
+  let open Cgra_arch in
+  let donor (b : t) =
+    let a = b.base.Mapping.arch in
+    a.Cgra.grid = arch.Cgra.grid
+    && a.mem_ports_per_row = arch.Cgra.mem_ports_per_row
+    && a.rf_capacity >= arch.Cgra.rf_capacity
+  in
+  let rf (b : t) = b.base.Mapping.arch.Cgra.rf_capacity in
+  Mutex.lock cache_lock;
+  let nearest =
+    Hashtbl.fold
+      (fun (_, name, s) r acc ->
+        match r with
+        | Ok b
+          when name = k.name && s = seed && donor b
+               && match acc with Some c -> rf b < rf c | None -> true ->
+            Some b
+        | Ok _ | Error _ -> acc)
+      cache None
+  in
+  Mutex.unlock cache_lock;
+  match nearest with
+  | None -> None
+  | Some b ->
+      let m = { b.base with Mapping.arch } in
+      if Mapping.validate m = Ok () then Some m else None
+
 let compile_uncached ~seed ?pool ?trace arch (k : Cgra_kernels.Kernels.t) =
-  match Scheduler.map ~seed ?pool ?trace Unconstrained arch k.graph with
+  let base =
+    match shared_baseline ~seed arch k with
+    | Some m ->
+        tcount trace "binary.cache.base_shared";
+        Ok m
+    | None -> Scheduler.map ~seed ?pool ?trace Unconstrained arch k.graph
+  in
+  match base with
   | Error e -> Error e
   | Ok base -> (
       match Scheduler.map ~seed ?pool ?trace Paged arch k.graph with
@@ -88,9 +135,6 @@ let memoize key r =
   Mutex.lock cache_lock;
   Hashtbl.replace cache key r;
   Mutex.unlock cache_lock
-
-let tcount trace name =
-  match trace with Some tr -> Cgra_trace.Trace.count tr name 1.0 | None -> ()
 
 let compile ?(seed = 0) ?pool ?trace arch (k : Cgra_kernels.Kernels.t) =
   let key = (fingerprint arch, k.name, seed) in

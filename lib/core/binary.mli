@@ -59,9 +59,27 @@ val compile :
     one — so cached and fresh results are interchangeable and the pool
     width is not part of the key; both tiers are safe to share across
     domains.  With [pool], both scheduler runs race their (II, attempt)
-    ladders across its domains ({!Cgra_mapper.Scheduler.map}).  With
-    [trace], tier outcomes bump the [binary.cache.{mem_hit, disk_hit,
-    compile, store}] counters. *)
+    ladders across its domains ({!Cgra_mapper.Scheduler.map}).
+
+    A compile shares the unconstrained baseline across page sizes.  That
+    search never sees pages: it reads the grid and the memory ports, and
+    the register file only in the final [Mapping.validate] of each
+    attempt.  So every binary in the in-memory memo holds the baseline
+    for its (grid, memory ports per row, kernel name, seed) and its rf
+    capacity.  A compile reuses the one with the nearest capacity no
+    smaller than its own, re-stamped with its own arch, when that
+    mapping validates on it; otherwise it searches.  This is exact in
+    any compile order: every attempt the donor's ladder rejected is
+    rejected again with fewer registers (validation only gets
+    stricter), so a winner that still validates is the fabric's own
+    first success.  Compiling a grid's page sizes in ascending order
+    therefore searches each baseline once (the standard fabrics' rf
+    capacity falls as pages grow); descending order shares nothing.
+    The reuse keeps no table of its own: finding a donor scans the memo.
+
+    With [trace], tier outcomes bump the [binary.cache.{mem_hit,
+    disk_hit, compile, store}] counters, and each reused baseline bumps
+    [binary.cache.base_shared]. *)
 
 val compile_suite :
   ?seed:int ->
@@ -99,7 +117,8 @@ type stats = { mem_hits : int; disk_hits : int; compiles : int; stores : int }
 
 val stats : unit -> stats
 (** Per-tier outcome counts since start-up or the last {!reset_stats}:
-    [compiles] counts actual scheduler runs, so a fully warm start shows
+    [compiles] counts binaries the compiler built (one whose baseline
+    was shared still ran its paged search), so a fully warm start shows
     [compiles = 0]. *)
 
 val cache_stats : unit -> int * int
@@ -109,4 +128,6 @@ val reset_stats : unit -> unit
 (** Zero the counters (the caches themselves are untouched). *)
 
 val clear_cache : unit -> unit
-(** Drop the in-memory memo (the disk tier, if any, is untouched). *)
+(** Drop the in-memory memo, and with it every baseline a later compile
+    could share, so the next compile of every key is cold (the disk
+    tier, if any, is untouched). *)

@@ -68,10 +68,7 @@ let folded_sequence n =
   done;
   seq
 
-let run ~n ~m ~ii_p ~iterations =
-  if m < 1 || m > n then invalid_arg "Greedy.run: need 1 <= m <= n";
-  if ii_p < 1 then invalid_arg "Greedy.run: ii_p >= 1";
-  if iterations < 2 then invalid_arg "Greedy.run: iterations >= 2";
+let replay ~n ~m ~ii_p ~iterations =
   let steps = iterations * ii_p in
   let place = Array.init steps (fun _ -> Array.make n { col = -1; time = -1 }) in
   let cols = Array.init m (fun _ -> Col.create ()) in
@@ -217,3 +214,11 @@ let run ~n ~m ~ii_p ~iterations =
     makespan;
     steady_ii;
   }
+
+let run ~n ~m ~ii_p ~iterations =
+  if m < 1 || m > n then
+    Error (Printf.sprintf "greedy: need 1 <= M <= N, got M = %d with N = %d" m n)
+  else if ii_p < 1 then Error (Printf.sprintf "greedy: need II_p >= 1, got %d" ii_p)
+  else if iterations < 2 then
+    Error (Printf.sprintf "greedy: need at least 2 iterations, got %d" iterations)
+  else Ok (replay ~n ~m ~ii_p ~iterations)

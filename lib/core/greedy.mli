@@ -40,6 +40,7 @@ type result_t = {
           the horizon; compare with [Transform.ii_q] *)
 }
 
-val run : n:int -> m:int -> ii_p:int -> iterations:int -> result_t
-(** Raises [Invalid_argument] unless [1 <= m <= n], [ii_p >= 1], and
-    [iterations >= 2]. *)
+val run :
+  n:int -> m:int -> ii_p:int -> iterations:int -> (result_t, string) result
+(** [Error] (a ["greedy: ..."] message naming the bad value) unless
+    [1 <= m <= n], [ii_p >= 1] and [iterations >= 2]. *)

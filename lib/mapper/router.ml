@@ -269,11 +269,28 @@ let rec goal_open ws ~src ~src_time i =
       earliest_free ws pe (src_time + max 1 (dist ws.fab src pe)) >= 0)
       || goal_open ws ~src ~src_time (i + 1))
 
+(* The occupancy-independent part of [route]'s feasibility: a reader
+   that can see [s]'s RF directly needs the value one cycle after it is
+   produced; otherwise each hop is one mesh move and one cycle, and the
+   final hop must sit on or next to the reader, so a chain needs at least
+   [max 1 (manhattan - 1)] hops and one more cycle for the read. *)
+let min_lead fab s d ~max_hops =
+  if reaches fab s d then 1
+  else
+    let need = max 1 (dist fab s d - 1) in
+    if need > max_hops then -1 else need + 1
+
 let route ws ~gen ~lo_page ~hi_page ~(src : Mapping.placement) ~dst_pe ~deadline
     ~max_hops =
   let fab = ws.fab in
   let s = Grid.index fab.grid src.pe and d = Grid.index fab.grid dst_pe in
-  if reaches fab s d && deadline >= src.time + 1 then Some []
+  let lead = min_lead fab s d ~max_hops in
+  (* Calls no chain can satisfy are rejected without a search, which is
+     cheaper than an exhausted one: below the lead (the scheduler skips
+     those candidates before calling), or with no free final-hop slot
+     ([goal_open]). *)
+  if lead < 0 || deadline < src.time + lead then None
+  else if reaches fab s d then Some []
   else begin
     ws.gen <- gen;
     ws.lo_page <- lo_page;
@@ -281,18 +298,7 @@ let route ws ~gen ~lo_page ~hi_page ~(src : Mapping.placement) ~dst_pe ~deadline
     ws.dst <- d;
     ws.last <- deadline - 1;
     ws.max_hops <- max_hops;
-    (* Infeasibility prechecks: each hop is one mesh move and one cycle,
-       and the final hop must sit on or next to [dst_pe], so a chain
-       needs at least [max 1 (manhattan - 1)] hops and as many cycles
-       before the [deadline] read.  The scheduler probes many candidates
-       whose edges cannot route; rejecting those without a search is
-       cheaper than an exhausted one. *)
-    let need = max 1 (dist fab s d - 1) in
-    if
-      need > max_hops
-      || deadline < src.time + need + 1
-      || not (goal_open ws ~src:s ~src_time:src.time 0)
-    then None
+    if not (goal_open ws ~src:s ~src_time:src.time 0) then None
     else begin
       ws.searches <- ws.searches + 1;
       ws.n_entries <- 0;

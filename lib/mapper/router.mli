@@ -37,6 +37,17 @@ val fabric :
     says whether a value in [a]'s register file may be read by [b], both
     between hops and for the final read by the consumer. *)
 
+val min_lead : fabric -> int -> int -> max_hops:int -> int
+(** [min_lead fab s d ~max_hops] is the least [deadline - src.time] at
+    which {!route} from row-major PE index [s] to a reader at [d] can
+    succeed, by the rules that ignore occupancy: 1 when [d] reads [s]
+    directly, else one cycle per needed hop ([max 1 (manhattan - 1)])
+    plus the read; [-1] when that hop count exceeds [max_hops], so no
+    deadline suffices.  {!route} rejects every call below this bound
+    without searching, and the scheduler uses the same bound to skip,
+    once per node placement, every (PE, time) candidate of an edge that
+    could not route — so both read one definition. *)
+
 type workspace
 
 val workspace :
@@ -78,7 +89,8 @@ val route :
 
 val searches : workspace -> int
 (** Best-first searches run so far: calls of {!route} that neither read
-    directly nor were rejected by the cheap infeasibility prechecks. *)
+    directly nor were rejected by the cheap infeasibility prechecks
+    ({!min_lead}, then a free final-hop slot next to the reader). *)
 
 val expansions : workspace -> int
 (** Heap pops over all searches so far. *)

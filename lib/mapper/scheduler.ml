@@ -164,6 +164,11 @@ module Attempt = struct
     overlay : int array;  (* generation stamps, pe_index * ii + slot *)
     mutable overlay_gen : int;
     router : Router.workspace;  (* reads [occupied] and [overlay] *)
+    cand_lo : int array;
+    cand_hi : int array;
+        (* candidate position -> the times [place_node] may try it at:
+           the window cut down by {!Router.min_lead} on every placed
+           neighbour's edge *)
     mutable routes : Mapping.route list;
     mutable max_page_used : int;  (* -1 when none *)
     mutable spills_left : int;
@@ -214,6 +219,8 @@ module Attempt = struct
       overlay;
       overlay_gen = 0;
       router = Router.workspace prep.Prep.fabric ~ii ~occupied ~overlay ?hop_cost ();
+      cand_lo = Array.make n_pes 0;
+      cand_hi = Array.make n_pes 0;
       routes = [];
       max_page_used = -1;
       spills_left = (if bus then 8 else 0);
@@ -245,6 +252,21 @@ module Attempt = struct
   let port_strand t (pe : Coord.t) time =
     strand t.prep ~ii:t.ii ~mem_use:t.mem_use ~row_occ:t.row_occ pe.row time
 
+  (* Hop budget of an edge from a producer on page [pu] to a consumer on
+     page [pv]; -1 when the paged ring order forbids the edge outright
+     (values only flow forward, from a used page). *)
+  let hop_budget t ~pu ~pv =
+    match kind t with
+    | Unconstrained -> 8
+    | Paged -> if pu >= 0 && pv >= pu then 2 * (pv - pu + 4) else -1
+
+  (* {!Router.min_lead} of an edge from PE index [u] to PE index [w]
+     under its hop budget: -1 when no deadline lets it route. *)
+  let edge_lead t u w =
+    let page = t.prep.Prep.page_idx in
+    let max_hops = hop_budget t ~pu:page.(u) ~pv:page.(w) in
+    if max_hops < 0 then -1 else Router.min_lead t.prep.Prep.fabric u w ~max_hops
+
   (* Feasibility of one edge given both endpoints, with an overlay of
      tentatively routed hops.  [producer]/[consumer] are the edge's
      endpoint placements; returns the hops needed (possibly []). *)
@@ -252,17 +274,17 @@ module Attempt = struct
       ~(consumer : Mapping.placement) =
     let deadline = consumer.time + (e.distance * t.ii) in
     let gen = t.overlay_gen in
+    let pu = page_of_idx t producer.pe and pv = page_of_idx t consumer.pe in
+    let max_hops = hop_budget t ~pu ~pv in
     match kind t with
     | Unconstrained ->
         Router.route t.router ~gen ~lo_page:min_int ~hi_page:max_int ~src:producer
-          ~dst_pe:consumer.pe ~deadline ~max_hops:8
+          ~dst_pe:consumer.pe ~deadline ~max_hops
     | Paged ->
-        let pu = page_of_idx t producer.pe and pv = page_of_idx t consumer.pe in
-        if pu >= 0 && pv >= pu then
+        if max_hops < 0 then None
+        else
           Router.route t.router ~gen ~lo_page:pu ~hi_page:pv ~src:producer
-            ~dst_pe:consumer.pe ~deadline
-            ~max_hops:(2 * (pv - pu + 4))
-        else None
+            ~dst_pe:consumer.pe ~deadline ~max_hops
 
   let rec add_overlay t gen = function
     | [] -> ()
@@ -512,6 +534,26 @@ module Attempt = struct
     let span = if t.bus && kind t = Paged then 2 * t.ii else t.ii in
     (lo, min hi (lo + span - 1))
 
+  (* The times in [\[lo, hi\]] at which PE index [p] is not ruled out
+     by the occupancy-independent rules of any edge to a placed
+     neighbour ({!edge_lead}): a pred at [pu] is read at [time +
+     distance * ii], no earlier than its lead after [pu.time]; a succ at
+     [pw] reads this node's value by [pw.time + distance * ii].  An empty
+     range is [hi < lo]. *)
+  let rec lead_lo t p lo = function
+    | [] -> lo
+    | ((e : Graph.edge), (pu : Mapping.placement)) :: rest ->
+        let l = edge_lead t (Grid.index (grid t) pu.pe) p in
+        if l < 0 then max_int
+        else lead_lo t p (max lo (pu.time + l - (e.distance * t.ii))) rest
+
+  let rec lead_hi t p hi = function
+    | [] -> hi
+    | ((e : Graph.edge), (pw : Mapping.placement)) :: rest ->
+        let l = edge_lead t p (Grid.index (grid t) pw.pe) in
+        if l < 0 then min_int
+        else lead_hi t p (min hi (pw.time + (e.distance * t.ii) - l)) rest
+
   let place_node t v =
     let lo, hi = window t v in
     if hi < lo then false
@@ -536,14 +578,35 @@ module Attempt = struct
             | None -> None)
           (Graph.succs (graph t) v)
       in
+      (* Every candidate outside its lead range fails [edges_feasible]
+         whatever the occupancy, so skipping it changes no decision; the
+         time loop also runs only over the union of the ranges. *)
+      let first = ref max_int and last = ref min_int in
+      Array.iteri
+        (fun j pe ->
+          let p = Grid.index (grid t) pe in
+          let l = lead_lo t p lo preds and h = lead_hi t p hi succs in
+          t.cand_lo.(j) <- l;
+          t.cand_hi.(j) <- h;
+          if l <= h then begin
+            first := min !first l;
+            last := max !last h
+          end)
+        pes;
+      let last = !last in
       let v_is_mem = Op.is_mem (Graph.node (graph t) v).op in
       let rec try_time time =
-        if time > hi then false
+        if time > last then false
         else begin
           let best = ref None in
-          Array.iter
-            (fun pe ->
-              if base_free t pe time && mem_ok t ~v_is_mem pe time then
+          Array.iteri
+            (fun j pe ->
+              if
+                t.cand_lo.(j) <= time
+                && time <= t.cand_hi.(j)
+                && base_free t pe time
+                && mem_ok t ~v_is_mem pe time
+              then
                 let cand = { Mapping.pe; time } in
                 match edges_feasible t ~preds ~succs cand with
                 | None -> ()
@@ -566,7 +629,7 @@ module Attempt = struct
           | None -> try_time (time + 1)
         end
       in
-      try_time lo
+      try_time !first
     end
 
   (* Bounded repair for the bandwidth-aware personality: when a node has

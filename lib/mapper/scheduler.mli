@@ -16,7 +16,17 @@
     cheapest feasible (PE, time) of its modulo window, with bounded-hop
     routing.  Failed attempts restart with a perturbed placement order;
     exhausted attempts escalate the II.  Every returned mapping has been
-    re-checked by [Mapping.validate]. *)
+    re-checked by [Mapping.validate].
+
+    Before its time loop, each node placement cuts every candidate PE's
+    times down to those {!Router.min_lead} allows on each edge to an
+    already placed neighbour: no direct read or chain within the edge's
+    hop budget can meet the deadline outside that range, whatever the
+    occupancy, and a paged edge whose consumer page precedes its
+    producer's is ruled out entirely.  The loop skips the candidates
+    outside their range instead of asking the router about them, so the
+    decisions are those of probing every candidate; only the
+    ["sched.route.*"] counts drop. *)
 
 type kind = Unconstrained | Paged
 

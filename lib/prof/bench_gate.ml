@@ -115,6 +115,11 @@ let scaling name = has_prefix "farm" name && contains "scaling" name
 
 let scaling_bound = 2.5
 
+(* Work rows count what a sequential run did (mapper attempts, router
+   searches): exact integers on any host, so they gate with no slack,
+   lower is better. *)
+let work name = has_prefix "work " name
+
 (* All other farm rows are virtual-clock simulation outputs:
    deterministic down to float formatting, so the budget is a flat
    epsilon either way. *)
@@ -138,7 +143,7 @@ let epsilon name = if deterministic name then 0.001 else 0.05
 let tolerance name =
   if scaling name then scaling_bound
   else if sim_rate name then 2.0
-  else if higher_is_better name || deterministic name then 1.0
+  else if higher_is_better name || deterministic name || work name then 1.0
   else if has_prefix "compile-sobel-warm" name || has_prefix "compile-suite-warm" name
   then 4.0 (* microsecond-scale disk reads: highest relative jitter *)
   else 2.0
@@ -162,6 +167,7 @@ let check ~baseline ~current =
       | Some c ->
           let ok =
             if scaling b.name then c.value <= tol
+            else if work b.name then c.value <= b.value
             else if sim_rate b.name then c.value >= b.value /. tol
             else if higher_is_better b.name then
               c.value >= b.value -. epsilon b.name
@@ -183,6 +189,7 @@ let render ~unit_ outcomes =
     else if sim_rate o.o_name then Printf.sprintf ">=base/%.1f" o.tol
     else if higher_is_better o.o_name then ">=base"
     else if deterministic o.o_name then "<=base"
+    else if work o.o_name then "<=base exact"
     else Printf.sprintf "%.1fx" o.tol
   in
   let rows =

@@ -47,7 +47,8 @@ val tolerance : string -> float
     ([current >= baseline / tolerance]); {!scaling} rows report their
     fixed {!scaling_bound}.  A factor, not a margin.
     Meaningless (1.0) for {!higher_is_better} and {!deterministic}
-    rows, which gate on a flat epsilon instead. *)
+    rows, which gate on a flat epsilon instead, and for {!work} rows,
+    which gate exactly. *)
 
 val deterministic : string -> bool
 (** Rows named with the "farm" prefix are virtual-clock simulation
@@ -57,6 +58,13 @@ val deterministic : string -> bool
     gate on a flat 0.001 epsilon (covering the %.3f quantization of the
     written value) in whichever direction {!higher_is_better} says,
     never on a jitter factor. *)
+
+val work : string -> bool
+(** Rows named with the "work " prefix count the work a sequential,
+    seeded run did (for example the mapper's attempts and router
+    searches over the Fig. 8 grid): exact integers, the same on every
+    host.  Lower is better and there is no slack: the gate passes when
+    [current <= baseline], so one extra unit of work fails it. *)
 
 val sim_rate : string -> bool
 (** Farm rows containing "sim-rate" time the front-end coordinator in

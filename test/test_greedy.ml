@@ -1,6 +1,9 @@
 open Cgra_core
 
-let run = Greedy.run
+let run ~n ~m ~ii_p ~iterations =
+  match Greedy.run ~n ~m ~ii_p ~iterations with
+  | Ok r -> r
+  | Error e -> Alcotest.failf "Greedy.run: %s" e
 
 (* every (col, time) slot holds at most one page-instance, columns are in
    range, and the three-case audit found no dependency violations *)
@@ -108,11 +111,31 @@ let test_m_equals_n_identity_rate () =
     (Float.abs (r.steady_ii -. 3.0) < 0.01)
 
 let test_invalid_args () =
-  let expect f = try ignore (f ()); Alcotest.fail "expected failure" with Invalid_argument _ -> () in
-  expect (fun () -> run ~n:4 ~m:5 ~ii_p:1 ~iterations:4);
-  expect (fun () -> run ~n:4 ~m:0 ~ii_p:1 ~iterations:4);
-  expect (fun () -> run ~n:4 ~m:2 ~ii_p:0 ~iterations:4);
-  expect (fun () -> run ~n:4 ~m:2 ~ii_p:1 ~iterations:1)
+  (* bad parameters come back as [Error] naming the value, never as an
+     exception *)
+  let expect fragment ~n ~m ~ii_p ~iterations =
+    match Greedy.run ~n ~m ~ii_p ~iterations with
+    | Ok _ -> Alcotest.failf "N=%d M=%d II=%d K=%d: expected Error" n m ii_p iterations
+    | Error e ->
+        let has sub =
+          let k = String.length sub in
+          let rec go i = i + k <= String.length e && (String.sub e i k = sub || go (i + 1)) in
+          go 0
+        in
+        Alcotest.(check bool) (Printf.sprintf "%S names %S" e fragment) true
+          (has "greedy: " && has fragment)
+  in
+  expect "M = 5" ~n:4 ~m:5 ~ii_p:1 ~iterations:4;
+  expect "M = 9" ~n:4 ~m:9 ~ii_p:1 ~iterations:20;
+  expect "M = 0" ~n:4 ~m:0 ~ii_p:1 ~iterations:4;
+  expect "M = -3" ~n:4 ~m:(-3) ~ii_p:1 ~iterations:4;
+  expect "II_p" ~n:4 ~m:2 ~ii_p:0 ~iterations:4;
+  expect "II_p" ~n:4 ~m:2 ~ii_p:(-1) ~iterations:4;
+  expect "iterations" ~n:4 ~m:2 ~ii_p:1 ~iterations:1;
+  expect "iterations" ~n:4 ~m:2 ~ii_p:1 ~iterations:min_int;
+  (* the boundary values themselves are accepted *)
+  ignore (run ~n:4 ~m:4 ~ii_p:1 ~iterations:2);
+  ignore (run ~n:1 ~m:1 ~ii_p:1 ~iterations:2)
 
 let test_deterministic () =
   let a = run ~n:6 ~m:4 ~ii_p:2 ~iterations:10 in

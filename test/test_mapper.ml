@@ -460,6 +460,101 @@ let test_router_page_range () =
              p >= 0 && p <= 2))
         hops
 
+(* The scheduler skips every (PE, time) candidate whose edge
+   [Router.min_lead] rules out, so the bound must never rule out a
+   deadline and hop budget some chain could meet.  On an empty fabric a
+   route with an ample deadline and hop budget returns a fewest-hop
+   chain with every hop in its earliest slot: with [h] hops the earliest
+   deadline any chain meets is [h + 1] cycles after the source (one
+   cycle for a direct read), under any hop budget of at least [h].
+   Property: the bound's least lead never exceeds that, over every
+   (src, dst) pair of a 4x4 and a 6x6 fabric, mesh and paged reach,
+   every page range and a spread of hop budgets. *)
+let test_router_bound_sound () =
+  let check_fabric ~paged size page_pes =
+    let arch = Option.get (Cgra.standard ~size ~page_pes) in
+    let grid = arch.Cgra.grid in
+    let pes = Array.of_list (Grid.all_pes grid) in
+    let n = Array.length pes in
+    let page =
+      Array.map
+        (fun pe -> Option.value ~default:(-1) (Page.page_of_pe arch.Cgra.pages pe))
+        pes
+    in
+    let mesh a b = Coord.equal a b || Coord.adjacent a b in
+    let reach a b =
+      if not paged then mesh a b
+      else
+        let pa = page.(Grid.index grid a) and pb = page.(Grid.index grid b) in
+        pa >= 0 && (pb = pa || pb = pa + 1) && mesh a b
+    in
+    let fab = Router.fabric grid ~pes ~page ~reach in
+    let ii = 64 and src_time = 3 in
+    let ws =
+      Router.workspace fab ~ii
+        ~occupied:(Bytes.make (n * ii) '\000')
+        ~overlay:(Array.make (n * ii) 0) ()
+    in
+    let n_pages = Cgra.n_pages arch in
+    let ranges =
+      if paged then
+        List.concat_map
+          (fun lo -> List.init (n_pages - lo) (fun k -> (lo, lo + k)))
+          (List.init n_pages Fun.id)
+      else [ (min_int, max_int) ]
+    in
+    let chains = ref 0 in
+    for s = 0 to n - 1 do
+      for d = 0 to n - 1 do
+        List.iter
+          (fun (lo_page, hi_page) ->
+            let fewest =
+              match
+                Router.route ws ~gen:1 ~lo_page ~hi_page
+                  ~src:{ Mapping.pe = pes.(s); time = src_time }
+                  ~dst_pe:pes.(d) ~deadline:(src_time + ii - 1) ~max_hops:ii
+              with
+              | None -> None
+              | Some hops ->
+                  let h = List.length hops in
+                  if h > 0 then
+                    Alcotest.(check int) "empty fabric: one cycle per hop"
+                      (src_time + h)
+                      (List.nth hops (h - 1)).Mapping.time;
+                  Some h
+            in
+            List.iter
+              (fun max_hops ->
+                let earliest =
+                  match fewest with
+                  | Some 0 -> Some 1
+                  | Some h when h <= max_hops -> Some (h + 1)
+                  | Some _ | None -> None
+                in
+                let lead = Router.min_lead fab s d ~max_hops in
+                match earliest with
+                | None -> ()
+                | Some e ->
+                    incr chains;
+                    if lead < 0 || lead > e then
+                      Alcotest.failf
+                        "%dx%d p%d%s: (%d,%d) -> (%d,%d), pages [%d, %d], %d \
+                         hops: bound %d rules out a chain meeting lead %d"
+                        size size page_pes
+                        (if paged then " paged" else "")
+                        pes.(s).row pes.(s).col pes.(d).row pes.(d).col lo_page
+                        hi_page max_hops lead e)
+              [ 0; 1; 2; 3; 4; 8; 12 ])
+          ranges
+      done
+    done;
+    Alcotest.(check bool) "chains found" true (!chains > 0)
+  in
+  check_fabric ~paged:false 4 4;
+  check_fabric ~paged:true 4 4;
+  check_fabric ~paged:false 6 4;
+  check_fabric ~paged:true 6 8
+
 (* ---------- bandwidth-aware scheduling ---------- *)
 
 let grid_fabrics = [ (4, 2); (4, 4); (6, 2); (6, 4); (6, 8); (8, 2); (8, 4); (8, 8) ]
@@ -683,6 +778,7 @@ let () =
           Alcotest.test_case "occupancy detour" `Quick test_router_respects_occupancy;
           Alcotest.test_case "tie order" `Quick test_router_tie_order;
           Alcotest.test_case "page range" `Quick test_router_page_range;
+          Alcotest.test_case "hoisted bound is sound" `Quick test_router_bound_sound;
         ] );
       ( "bus-aware",
         [

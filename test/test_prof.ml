@@ -583,6 +583,49 @@ let test_gate_wrong_family () =
           Alcotest.(check bool) "error names the family" true
             (contains ~sub:"\"micro\"" e))
 
+let test_gate_work_rows_exact () =
+  (* the committed Fig. 8 work rows (exact sequential mapper counts)
+     pass against themselves, and raising any one of them by a single
+     unit of work fails exactly that row; lowering it passes *)
+  Alcotest.(check bool) "work prefix" true
+    (Bench_gate.work "work fig8 grid route searches");
+  Alcotest.(check bool) "quality row is not work" false
+    (Bench_gate.work "fig8 4x4 p4 geomean");
+  let committed =
+    match Bench_gate.load ~bench:"fig8" "../BENCH_fig8.json" with
+    | Ok d -> d
+    | Error e -> Alcotest.failf "committed BENCH_fig8.json: %s" e
+  in
+  let work =
+    List.filter (fun (r : Bench_gate.row) -> Bench_gate.work r.name) committed.rows
+  in
+  Alcotest.(check int) "four work rows" 4 (List.length work);
+  Alcotest.(check int) "committed rows pass" 0
+    (Bench_gate.failures (Bench_gate.check ~baseline:committed ~current:committed));
+  let moved (r : Bench_gate.row) delta =
+    {
+      committed with
+      rows =
+        List.map
+          (fun (x : Bench_gate.row) ->
+            if x.name = r.name then { x with value = x.value +. delta } else x)
+          committed.rows;
+    }
+  in
+  List.iter
+    (fun (r : Bench_gate.row) ->
+      Alcotest.check feq (r.name ^ ": no tolerance") 1.0 (Bench_gate.tolerance r.name);
+      let outcomes = Bench_gate.check ~baseline:committed ~current:(moved r 1.0) in
+      (match List.filter (fun (o : Bench_gate.outcome) -> not o.ok) outcomes with
+      | [ o ] -> Alcotest.(check string) "the raised row fails" r.name o.o_name
+      | l -> Alcotest.failf "%s + 1: %d rows failed, expected 1" r.name (List.length l));
+      Alcotest.(check bool) "render says FAIL" true
+        (contains ~sub:"FAIL" (Bench_gate.render ~unit_:"count" outcomes));
+      Alcotest.(check int) (r.name ^ " - 1 passes") 0
+        (Bench_gate.failures
+           (Bench_gate.check ~baseline:committed ~current:(moved r (-1.0)))))
+    work
+
 let test_gate_parses_old_format () =
   (* rows written before min-of-N: no runs/spread/per-row domains *)
   let d =
@@ -650,6 +693,8 @@ let () =
             test_gate_farm_deterministic;
           Alcotest.test_case "farm scaling ceiling" `Quick
             test_gate_farm_scaling;
+          Alcotest.test_case "work rows gate exactly" `Quick
+            test_gate_work_rows_exact;
           Alcotest.test_case "old baseline format" `Quick
             test_gate_parses_old_format;
           Alcotest.test_case "writer round-trip" `Quick

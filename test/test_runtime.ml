@@ -315,6 +315,119 @@ let test_binary_iteration_cycles () =
     (Binary.ii_paged b * n)
     (Binary.iteration_cycles b ~pages:1)
 
+(* ---------- baseline reuse across page sizes ---------- *)
+
+let same_mapping (a : Cgra_mapper.Mapping.t) (b : Cgra_mapper.Mapping.t) =
+  (a.ii, a.placements, a.routes, a.paged, Cgra.fingerprint a.arch)
+  = (b.ii, b.placements, b.routes, b.paged, Cgra.fingerprint b.arch)
+
+let fresh_base ~seed arch (k : Cgra_kernels.Kernels.t) =
+  Cgra_mapper.Scheduler.map ~seed Cgra_mapper.Scheduler.Unconstrained arch k.graph
+
+let shared_count trace =
+  Option.value ~default:0.0
+    (List.assoc_opt "binary.cache.base_shared" (Cgra_trace.Trace.counters trace))
+
+(* [Binary] re-stamps an unconstrained baseline onto the other page
+   sizes of its grid.  In either compile order, at seeds 0 and 7, every
+   binary's [base] must be exactly what a fresh search on its own fabric
+   returns. *)
+let test_binary_base_reuse_exact () =
+  let fresh = Hashtbl.create 256 in
+  List.iter
+    (fun seed ->
+      List.iter
+        (fun (order, page_order) ->
+          Binary.clear_cache ();
+          let trace = Cgra_trace.Trace.make () in
+          List.iter
+            (fun size ->
+              List.iter
+                (fun page_pes ->
+                  match Cgra.standard ~size ~page_pes with
+                  | None -> ()
+                  | Some a ->
+                      List.iter
+                        (fun (k : Cgra_kernels.Kernels.t) ->
+                          let tag =
+                            Printf.sprintf "%s %dx%d p%d seed %d %s" k.name size
+                              size page_pes seed order
+                          in
+                          let want =
+                            let key = (size, page_pes, k.name, seed) in
+                            match Hashtbl.find_opt fresh key with
+                            | Some m -> m
+                            | None ->
+                                let m =
+                                  match fresh_base ~seed a k with
+                                  | Ok m -> m
+                                  | Error e -> Alcotest.failf "%s: fresh: %s" tag e
+                                in
+                                Hashtbl.replace fresh key m;
+                                m
+                          in
+                          match Binary.compile ~seed ~trace a k with
+                          | Error e -> Alcotest.failf "%s: %s" tag e
+                          | Ok b ->
+                              Alcotest.(check bool)
+                                (tag ^ ": base = fresh search")
+                                true (same_mapping b.base want))
+                        Cgra_kernels.Kernels.all)
+                page_order)
+            Experiments.cgra_sizes;
+          (* ascending page size is descending rf capacity: the first
+             page size of each grid searches, the 55 other binaries
+             share; descending shares nothing *)
+          Alcotest.(check (float 0.0))
+            (Printf.sprintf "seed %d %s: baselines shared" seed order)
+            (if order = "ascending" then 55.0 else 0.0)
+            (shared_count trace))
+        [ ("ascending", [ 2; 4; 8 ]); ("descending", [ 8; 4; 2 ]) ])
+    [ 0; 7 ];
+  Binary.clear_cache ()
+
+(* The reuse guard: a baseline is shared only onto a fabric with no
+   more registers than it was searched under, and only when it validates
+   there.  Either way round, a fabric the guard turns away gets exactly
+   the fresh compile's result, [Error] text included.  mpeg on a 4x4
+   fabric does not compile with one register, and its 2-register
+   baseline differs from its 16-register one. *)
+let test_binary_base_reuse_rf_guard () =
+  let pages = Page.rect (Grid.square 4) ~tile_rows:2 ~tile_cols:2 in
+  let at rf = Cgra.make ~rf_capacity:rf pages in
+  let k = Cgra_kernels.Kernels.find_exn "mpeg" in
+  let fresh a =
+    Binary.clear_cache ();
+    Binary.compile a k
+  in
+  let check tag ~first a =
+    let want = fresh a in
+    Binary.clear_cache ();
+    let trace = Cgra_trace.Trace.make () in
+    ignore (Binary.compile first k);
+    let got = Binary.compile ~trace a k in
+    Alcotest.(check (float 0.0)) (tag ^ ": not shared") 0.0 (shared_count trace);
+    (match (got, want) with
+    | Ok g, Ok w ->
+        Alcotest.(check bool) (tag ^ ": base") true (same_mapping g.base w.base);
+        Alcotest.(check bool) (tag ^ ": paged") true (same_mapping g.paged w.paged)
+    | Error g, Error w -> Alcotest.(check string) (tag ^ ": error text") w g
+    | Ok _, Error w -> Alcotest.failf "%s: compiled, fresh compile failed: %s" tag w
+    | Error g, Ok _ -> Alcotest.failf "%s: failed, fresh compile did not: %s" tag g);
+    match (got, fresh_base ~seed:0 a k) with
+    | Ok g, Ok w ->
+        Alcotest.(check bool) (tag ^ ": base = fresh search") true (same_mapping g.base w)
+    | Ok _, Error e -> Alcotest.failf "%s: compiled, fresh search failed: %s" tag e
+    | Error _, _ -> ()
+  in
+  (* the 16-register baseline does not validate with fewer registers *)
+  check "rf 16 then rf 1" ~first:(at 16) (at 1);
+  check "rf 16 then rf 2" ~first:(at 16) (at 2);
+  (* the 2-register one validates with 16, but a 16-register search
+     finds another mapping first *)
+  check "rf 2 then rf 16" ~first:(at 2) (at 16);
+  Binary.clear_cache ()
+
 (* ---------- Thread model & workload ---------- *)
 
 let test_thread_model_accessors () =
@@ -800,6 +913,10 @@ let () =
         [
           Alcotest.test_case "compile suite" `Quick test_binary_compile_suite;
           Alcotest.test_case "iteration cycles" `Quick test_binary_iteration_cycles;
+          Alcotest.test_case "baseline reuse is exact" `Slow
+            test_binary_base_reuse_exact;
+          Alcotest.test_case "baseline reuse rf guard" `Quick
+            test_binary_base_reuse_rf_guard;
         ] );
       ( "workload",
         [
